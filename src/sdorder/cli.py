@@ -45,7 +45,7 @@ from .generators import (
     example_theta_family,
 )
 from .oracle import SamplerConfig, agreement_easd, agreement_ffsd, agreement_mfsd
-from .piecewise import PiecewiseFn, _poly_value
+from .piecewise import DivisionByZeroGamma, PiecewiseFn, _poly_value, merge_grids
 from .utility import UtilityPWL, global_greediness, greediness_profile
 
 DEFAULT_TOL = 1e-9
@@ -91,9 +91,14 @@ def _pieces_to_carrier(obj: dict, path: str, kind: str) -> PiecewiseFn:
     pieces = obj.get("pieces")
     if not isinstance(pieces, list) or not pieces:
         raise InputError(f"{path}: 'pieces' must be a non-empty list")
+    try:
+        # a gamma may start from a non-zero "left" value; a cdf starts at 0
+        start = float(obj.get("left", 0.0)) if kind == "gamma" else 0.0
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{path}: left: {e}") from e
     breaks: list[float] = []
     coeffs: list[tuple[float, float, float]] = []
-    value = 0.0
+    value = start
     for i, p in enumerate(pieces):
         try:
             x = float(p["x"])
@@ -110,20 +115,20 @@ def _pieces_to_carrier(obj: dict, path: str, kind: str) -> PiecewiseFn:
         if i + 1 < len(pieces):
             h = float(pieces[i + 1]["x"]) - x
             value = _poly_value((c0, slope, quad), h)
-    # the value left of the first piece is 0 for cdf/gamma; an epsilon
-    # must stay inside its open band everywhere, so its first value is
-    # extended leftward instead
-    left = coeffs[0][0] if kind == "epsilon" else 0.0
+    # an epsilon must stay inside its open band everywhere, so its first
+    # value is extended leftward instead
+    left = coeffs[0][0] if kind == "epsilon" else start
     return PiecewiseFn(breaks=tuple(breaks), left=left, coeffs=tuple(coeffs))
 
 
 def _carrier_to_pieces(carrier: PiecewiseFn, kind: str) -> dict:
+    # a gamma keeps a non-zero left tail in "left"; other kinds start at 0
+    value = carrier.left if kind == "gamma" else 0.0
+    head = {"kind": kind, "left": value} if value != 0.0 else {"kind": kind}
     if not carrier.breaks:
         # constant carrier: a single piece at 0 carrying the value
-        return {"kind": kind,
-                "pieces": [{"x": 0.0, "jump": carrier.left, "slope_after": 0.0}]}
+        carrier = carrier.with_breaks((0.0,))
     pieces = []
-    value = 0.0
     for i, x in enumerate(carrier.breaks):
         c0, c1, c2 = carrier.coeffs[i]
         piece = {"x": x, "jump": c0 - value, "slope_after": c1}
@@ -133,7 +138,7 @@ def _carrier_to_pieces(carrier: PiecewiseFn, kind: str) -> dict:
         if i + 1 < len(carrier.breaks):
             h = carrier.breaks[i + 1] - x
             value = _poly_value((c0, c1, c2), h)
-    return {"kind": kind, "pieces": pieces}
+    return {**head, "pieces": pieces}
 
 
 def load_distribution(path: str, tol: float) -> Distribution:
@@ -406,8 +411,8 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     tol = cfg.tolerance
     F = load_distribution(args.f, tol)
     G = load_distribution(args.g, tol)
-    diff = F.carrier.sub(G.carrier)
-    ts = sorted(diff.breaks) + [max(diff.breaks) + 1.0]
+    grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
+    ts = [*grid, grid[-1] + 1.0]
     scfg = SamplerConfig(t_grid=tuple(ts), seed=cfg.seed, count=cfg.samples)
     if args.order == "mfsd":
         rep = agreement_mfsd(F, G, _resolve_gamma(args, tol), scfg, tol=tol)
@@ -591,10 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _run_config(args)
         return args.fn(args, cfg)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, DivisionByZeroGamma) as e:  # InputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,11 +26,12 @@ from .gamma import (
     validate_epsilon,
     validate_gamma,
 )
+from .geometry import PairGeometry, pair_geometry
 from .piecewise import (
     PiecewiseFn,
     _poly_value,
-    cum_area_fn,
-    signed_parts,
+    merge_grids,
+    signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
     weighted_area_fn_values,
 )
 
@@ -98,7 +99,7 @@ def _settle(tag: OrderTag, cands: list[_Cand], tol: float) -> Verdict:
 
 def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
-    grid = sorted(set(F.carrier.breaks) | set(G.carrier.breaks))
+    grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
     cands: list[_Cand] = []
     for b in grid:
         cands.append((b, G.carrier.value(b), F.carrier.value(b), True))
@@ -114,7 +115,7 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
     derivative is linear there and its lone stationary point is solved
     exactly; everywhere else the slack is monotone on each cell.
     """
-    grid = tuple(sorted(set(An.breaks) | set(gamma.breaks)))
+    grid = merge_grids(An.breaks, gamma.breaks)
     ap = Ap.with_breaks(grid)
     an = An.with_breaks(grid)
     gm = gamma.with_breaks(grid)
@@ -145,50 +146,38 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
     return cands
 
 
-def _area_pair(F: Distribution, G: Distribution) -> tuple[PiecewiseFn, PiecewiseFn]:
-    diff = F.carrier.sub(G.carrier)
-    pos, neg = signed_parts(diff)
-    return cum_area_fn(pos), cum_area_fn(neg)
+def _graded(tag: OrderTag, geom: PairGeometry, gamma: PiecewiseFn,
+            tol: float) -> Verdict:
+    """Settle deficit(t) <= gamma(t) * surplus(t) over every t."""
+    return _settle(tag, _weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
 
 
 def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """Second order: cumulative surplus covers cumulative deficit at every t."""
-    Ap, An = _area_pair(F, G)
-    cands = _weighted_slack_candidates(Ap, An, PiecewiseFn.constant(1.0))
-    return _settle(OrderTag.SSD, cands, tol)
+    return _graded(OrderTag.SSD, pair_geometry(F, G), PiecewiseFn.constant(1.0), tol)
 
 
 def check_fractional(F: Distribution, G: Distribution, gamma: float,
-                     tol: float = 1e-9, short_circuit: bool = False) -> Verdict:
-    """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t.
-
-    With short_circuit enabled, an equal-means pair with a genuine
-    crossing and gamma below 1 is rejected from the tail balance alone;
-    the reported margin is then the tail slack, which certifies failure
-    but need not be the deepest violation.
-    """
+                     tol: float = 1e-9) -> Verdict:
+    """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t."""
     if not 0.0 <= gamma <= 1.0:
         raise GammaOutOfRange("constant gamma must lie in [0, 1]")
-    Ap, An = _area_pair(F, G)
-    if short_circuit and abs(F.mean - G.mean) <= tol and gamma <= 1.0 - tol:
-        total_deficit = An.value(An.breaks[-1]) if An.breaks else 0.0
-        if (1.0 - gamma) * total_deficit > tol:
-            t_last = An.breaks[-1]
-            lhs = total_deficit
-            rhs = gamma * Ap.value(t_last)
-            return Verdict(False, t_last, rhs - lhs, OrderTag.FRAC,
-                           ((t_last, lhs, rhs),))
-    cands = _weighted_slack_candidates(Ap, An, PiecewiseFn.constant(gamma))
-    return _settle(OrderTag.FRAC, cands, tol)
+    return _graded(OrderTag.FRAC, pair_geometry(F, G), PiecewiseFn.constant(gamma), tol)
 
 
 def check_mfsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
                tol: float = 1e-9) -> Verdict:
     """Graded order: deficit(t) <= gamma(t) * surplus(t) for all t."""
     gf = validate_gamma(g)
-    Ap, An = _area_pair(F, G)
-    cands = _weighted_slack_candidates(Ap, An, gf.carrier)
-    return _settle(OrderTag.MFSD, cands, tol)
+    return _graded(OrderTag.MFSD, pair_geometry(F, G), gf.carrier, tol)
+
+
+def _ffsd(geom: PairGeometry, gf: GammaFn, tol: float) -> Verdict:
+    grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
+    cands = [(t, w, geom.Ap.value(t), True) for t, w in zip(grid, weighted)]
+    # beyond the last break both sides are frozen, so the final node
+    # already carries the t -> infinity comparison
+    return _settle(OrderTag.FFSD, cands, tol)
 
 
 def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
@@ -200,16 +189,16 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     DivisionByZeroGamma.
     """
     gf = validate_gamma(g)
-    diff = F.carrier.sub(G.carrier)
-    pos, neg = signed_parts(diff)
-    Ap = cum_area_fn(pos)
-    grid, weighted = weighted_area_fn_values(neg, gf.carrier)
-    cands: list[_Cand] = []
-    for t, w in zip(grid, weighted):
-        cands.append((t, w, Ap.value(t), True))
-    # beyond the last break both sides are frozen, so the final node
-    # already carries the t -> infinity comparison
-    return _settle(OrderTag.FFSD, cands, tol)
+    return _ffsd(pair_geometry(F, G), gf, tol)
+
+
+def _easd(geom: PairGeometry, ef: EpsilonFn, tol: float) -> Verdict:
+    _, weighted = weighted_area_fn_values(geom.neg, ef.carrier)
+    lhs = weighted[-1] if weighted else 0.0
+    rhs = geom.surplus + geom.deficit
+    margin = rhs - lhs
+    return Verdict(margin >= -tol, None, margin, OrderTag.EASD,
+                   ((math.inf, lhs, rhs),))
 
 
 def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
@@ -217,15 +206,4 @@ def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
     """Single-inequality order: the 1/epsilon-inflated total deficit must
     not exceed the total variation between the CDFs."""
     ef = validate_epsilon(e)
-    diff = F.carrier.sub(G.carrier)
-    pos, neg = signed_parts(diff)
-    Apos = cum_area_fn(pos)
-    Aneg = cum_area_fn(neg)
-    surplus = Apos.value(Apos.breaks[-1]) if Apos.breaks else 0.0
-    deficit = Aneg.value(Aneg.breaks[-1]) if Aneg.breaks else 0.0
-    _, weighted = weighted_area_fn_values(neg, ef.carrier)
-    lhs = weighted[-1] if weighted else 0.0
-    rhs = surplus + deficit
-    margin = rhs - lhs
-    return Verdict(margin >= -tol, None, margin, OrderTag.EASD,
-                   ((math.inf, lhs, rhs),))
+    return _easd(pair_geometry(F, G), ef, tol)

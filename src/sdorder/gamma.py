@@ -22,10 +22,9 @@ from .piecewise import (
     _poly_shift,
     _poly_value,
     compress,
-    cum_area_fn,
-    signed_parts,
 )
 from .distributions import Distribution
+from .geometry import pair_geometry
 
 __all__ = [
     "DivisionByZeroGamma",
@@ -173,13 +172,6 @@ def validate_epsilon(e: PiecewiseFn, tol: float = 1e-9) -> EpsilonFn:
     return EpsilonFn(e)
 
 
-def _area_pair(F: Distribution, G: Distribution) -> tuple[PiecewiseFn, PiecewiseFn]:
-    """Cumulative surplus/deficit areas of F - G on a shared sign-pure grid."""
-    diff = F.carrier.sub(G.carrier)
-    pos, neg = signed_parts(diff)
-    return cum_area_fn(pos), cum_area_fn(neg)
-
-
 def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     """Pointwise-smallest non-decreasing gamma making F comparable to G.
 
@@ -191,7 +183,8 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     polynomial root, solved exactly. Raises NotSSDOrdered when the sup
     exceeds 1 + tol.
     """
-    Ap, An = _area_pair(F, G)
+    geom = pair_geometry(F, G)
+    Ap, An = geom.Ap, geom.An
     if not An.breaks:
         return validate_gamma(PiecewiseFn.constant(0.0))
     breaks = An.breaks
@@ -272,10 +265,9 @@ def min_constant_epsilon(F: Distribution, G: Distribution,
     deficit / (deficit + surplus). Identical distributions give 0 by
     convention.
     """
-    Ap, An = _area_pair(F, G)
-    deficit = total_area_from_cum(An)
-    surplus = total_area_from_cum(Ap)
-    denom = deficit + surplus
+    geom = pair_geometry(F, G)
+    deficit = geom.deficit
+    denom = deficit + geom.surplus
     if denom <= 0.0:
         return 0.0
     val = deficit / denom
@@ -283,7 +275,3 @@ def min_constant_epsilon(F: Distribution, G: Distribution,
         return Infeasible(val)
     return val
 
-
-def total_area_from_cum(cum: PiecewiseFn) -> float:
-    """Final value of a cumulative-area function (constant beyond last break)."""
-    return cum.value(cum.breaks[-1]) if cum.breaks else cum.left

@@ -15,17 +15,11 @@ import random
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .dominance import Verdict, check_easd, check_ffsd, check_mfsd
-from .gamma import EpsilonFn, GammaFn, _area_pair
-from .piecewise import _poly_value
-from .utility import (
-    UtilityPWL,
-    combine,
-    expected_utility_gap,
-    make_base_asd,
-    make_base_ff,
-    make_base_mf,
-)
+from .dominance import OrderTag, Verdict, _easd, _ffsd, _graded
+from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
+from .geometry import PairGeometry, pair_geometry
+from .piecewise import _poly_max, merge_grids
+from .utility import UtilityPWL, _base_asd, _base_ff, _base_mf, _gap, combine
 
 __all__ = [
     "SamplerConfig",
@@ -147,6 +141,28 @@ def _span_of(cfg: SamplerConfig) -> tuple[float, float]:
     return a, b
 
 
+def _sample_mf(geom: PairGeometry, gamma: GammaFn,
+               cfg: SamplerConfig) -> list[UtilityPWL]:
+    rng = random.Random(cfg.seed)
+    out: list[UtilityPWL] = [_base_mf(cfg.t_grid[0], geom, gamma)]
+    cap = GammaFn.const(gamma.upper)
+    span = _span_of(cfg)
+    while len(out) < cfg.count:
+        k = rng.randint(1, cfg.max_terms)
+        terms: list[tuple[float, UtilityPWL]] = []
+        for _ in range(k):
+            w = rng.uniform(0.1, 1.0)
+            if rng.random() < 0.7:
+                t = rng.choice(cfg.t_grid)
+                terms.append((w, _base_mf(t, geom, gamma)))
+            else:
+                brk = _random_breaks(rng, span, rng.randint(1, 3))
+                slopes = _draw_dpm_slopes(rng, cap, brk, cfg.slope_range)
+                terms.append((w, UtilityPWL(tuple(brk), tuple(slopes))))
+        out.append(combine(terms))
+    return out
+
+
 def sample_mf_utilities(
     F: Distribution,
     G: Distribution,
@@ -161,24 +177,7 @@ def sample_mf_utilities(
     cfg.t_grid, with some terms drawn from the constant-cap admissible
     class at the gamma upper value.
     """
-    rng = random.Random(cfg.seed)
-    out: list[UtilityPWL] = [make_base_mf(cfg.t_grid[0], F, G, gamma)]
-    cap = GammaFn.const(gamma.upper)
-    span = _span_of(cfg)
-    while len(out) < cfg.count:
-        k = rng.randint(1, cfg.max_terms)
-        terms: list[tuple[float, UtilityPWL]] = []
-        for _ in range(k):
-            w = rng.uniform(0.1, 1.0)
-            if rng.random() < 0.7:
-                t = rng.choice(cfg.t_grid)
-                terms.append((w, make_base_mf(t, F, G, gamma)))
-            else:
-                brk = _random_breaks(rng, span, rng.randint(1, 3))
-                slopes = _draw_dpm_slopes(rng, cap, brk, cfg.slope_range)
-                terms.append((w, UtilityPWL(tuple(brk), tuple(slopes))))
-        out.append(combine(terms))
-    return out
+    return _sample_mf(pair_geometry(F, G), validate_gamma(gamma), cfg)
 
 
 def sample_ff_utilities(gamma: GammaFn, cfg: SamplerConfig) -> list[UtilityPWL]:
@@ -204,16 +203,9 @@ def _eps_sup(eps: EpsilonFn) -> float:
     """Global supremum of the threshold function over the whole line."""
     carrier = eps.carrier
     best = carrier.left
-    points = list(carrier.breaks) + [math.inf]
-    for i, (c0, c1, c2) in enumerate(carrier.coeffs):
-        h = points[i + 1] - points[i]
-        best = max(best, c0)
-        if math.isfinite(h):
-            best = max(best, _poly_value((c0, c1, c2), h))
-            if c2 != 0.0:
-                d = -c1 / (2.0 * c2)
-                if 0.0 < d < h:
-                    best = max(best, _poly_value((c0, c1, c2), d))
+    ends = carrier.breaks[1:] + (math.inf,)
+    for b, end, coeff in zip(carrier.breaks, ends, carrier.coeffs):
+        best = max(best, _poly_max(coeff, end - b))
     return best
 
 
@@ -241,12 +233,11 @@ def _sample_asd_utilities(eps: EpsilonFn, cfg: SamplerConfig) -> list[UtilityPWL
 
 
 def _descend_mf_witness(
-    F: Distribution,
-    G: Distribution,
+    geom: PairGeometry,
     gamma: GammaFn,
     t_star: float,
     tol: float,
-) -> tuple[UtilityPWL, float]:
+) -> UtilityPWL:
     """Base-type witness with a certified negative gap near t_star.
 
     When the margin minimum is attained only as a left limit (gamma jumps
@@ -254,21 +245,41 @@ def _descend_mf_witness(
     non-negative gap; stepping the threshold left inside the adjacent
     cell recovers a strict violator.
     """
-    w = make_base_mf(t_star, F, G, gamma)
-    gap = expected_utility_gap(F, G, w)
+    w = _base_mf(t_star, geom, gamma)
+    gap = _gap(geom, w)
     if gap < -tol:
-        return w, gap
-    _, deficit = _area_pair(F, G)
-    grid = sorted(set(deficit.breaks) | set(gamma.carrier.breaks))
+        return w
+    grid = merge_grids(geom.An.breaks, gamma.carrier.breaks)
     prev = max((p for p in grid if p < t_star), default=t_star - 1.0)
     step = (t_star - prev) / 2.0
     for _ in range(80):
-        cand = make_base_mf(t_star - step, F, G, gamma)
-        cand_gap = expected_utility_gap(F, G, cand)
+        cand = _base_mf(t_star - step, geom, gamma)
+        cand_gap = _gap(geom, cand)
         if cand_gap < gap:
             w, gap = cand, cand_gap
         step /= 2.0
-    return w, gap
+    return w
+
+
+def _replay(verdict: Verdict, geom: PairGeometry, samples: list[UtilityPWL],
+            witness, tol: float) -> AgreementReport:
+    """Evaluate every sample and, for a failing verdict, the utility
+    that `witness()` constructs."""
+    min_gap, argmin = math.inf, None
+    for u in samples:
+        gap = _gap(geom, u)
+        if gap < min_gap:
+            min_gap, argmin = gap, u
+    count = len(samples)
+    if not verdict.holds:
+        w = witness()
+        wgap = _gap(geom, w)
+        count += 1
+        if wgap < min_gap:
+            min_gap, argmin = wgap, w
+    agree = (min_gap >= -tol) if verdict.holds else (min_gap < -tol)
+    violating = argmin if min_gap < -tol else None
+    return AgreementReport(verdict, count, min_gap, violating, agree)
 
 
 def agreement_mfsd(
@@ -279,22 +290,11 @@ def agreement_mfsd(
     tol: float = 1e-9,
 ) -> AgreementReport:
     """Replay the pointwise-weight decider against sampled utilities."""
-    verdict = check_mfsd(F, G, gamma, tol=tol)
-    samples = sample_mf_utilities(F, G, gamma, cfg)
-    min_gap, argmin = math.inf, None
-    for u in samples:
-        gap = expected_utility_gap(F, G, u)
-        if gap < min_gap:
-            min_gap, argmin = gap, u
-    count = len(samples)
-    if not verdict.holds and verdict.witness_t is not None:
-        w, wgap = _descend_mf_witness(F, G, gamma, verdict.witness_t, tol)
-        count += 1
-        if wgap < min_gap:
-            min_gap, argmin = wgap, w
-    agree = (min_gap >= -tol) if verdict.holds else (min_gap < -tol)
-    violating = argmin if min_gap < -tol else None
-    return AgreementReport(verdict, count, min_gap, violating, agree)
+    gamma = validate_gamma(gamma)
+    geom = pair_geometry(F, G)
+    verdict = _graded(OrderTag.MFSD, geom, gamma.carrier, tol)
+    return _replay(verdict, geom, _sample_mf(geom, gamma, cfg),
+                   lambda: _descend_mf_witness(geom, gamma, verdict.witness_t, tol), tol)
 
 
 def agreement_ffsd(
@@ -309,23 +309,11 @@ def agreement_ffsd(
     Requires a step-valued gamma that is positive wherever the deficit
     carries mass, matching the witness constructor's own contract.
     """
-    verdict = check_ffsd(F, G, gamma, tol=tol)
-    samples = sample_ff_utilities(gamma, cfg)
-    min_gap, argmin = math.inf, None
-    for u in samples:
-        gap = expected_utility_gap(F, G, u)
-        if gap < min_gap:
-            min_gap, argmin = gap, u
-    count = len(samples)
-    if not verdict.holds and verdict.witness_t is not None:
-        w = make_base_ff(verdict.witness_t, F, G, gamma)
-        wgap = expected_utility_gap(F, G, w)
-        count += 1
-        if wgap < min_gap:
-            min_gap, argmin = wgap, w
-    agree = (min_gap >= -tol) if verdict.holds else (min_gap < -tol)
-    violating = argmin if min_gap < -tol else None
-    return AgreementReport(verdict, count, min_gap, violating, agree)
+    gamma = validate_gamma(gamma)
+    geom = pair_geometry(F, G)
+    verdict = _ffsd(geom, gamma, tol)
+    return _replay(verdict, geom, sample_ff_utilities(gamma, cfg),
+                   lambda: _base_ff(verdict.witness_t, geom, gamma), tol)
 
 
 def agreement_easd(
@@ -340,23 +328,11 @@ def agreement_easd(
     The decider margin equals the witness utility's gap algebraically,
     so a failing verdict always comes with a strict violator.
     """
-    verdict = check_easd(F, G, eps, tol=tol)
-    samples = _sample_asd_utilities(eps, cfg)
-    min_gap, argmin = math.inf, None
-    for u in samples:
-        gap = expected_utility_gap(F, G, u)
-        if gap < min_gap:
-            min_gap, argmin = gap, u
-    count = len(samples)
-    if not verdict.holds:
-        w = make_base_asd(F, G, eps)
-        wgap = expected_utility_gap(F, G, w)
-        count += 1
-        if wgap < min_gap:
-            min_gap, argmin = wgap, w
-    agree = (min_gap >= -tol) if verdict.holds else (min_gap < -tol)
-    violating = argmin if min_gap < -tol else None
-    return AgreementReport(verdict, count, min_gap, violating, agree)
+    eps = validate_epsilon(eps)
+    geom = pair_geometry(F, G)
+    verdict = _easd(geom, eps, tol)
+    return _replay(verdict, geom, _sample_asd_utilities(eps, cfg),
+                   lambda: _base_asd(geom, eps), tol)
 
 
 def greediness_oracle(u: UtilityPWL, x: float, grid_size: int = 50) -> float:

@@ -41,6 +41,19 @@ def _poly_shift(coeff: tuple[float, float, float], s: float) -> tuple[float, flo
     return (c0 + s * (c1 + s * c2), c1 + 2.0 * c2 * s, c2)
 
 
+def _poly_max(coeff: tuple[float, float, float], h: float) -> float:
+    """Sup of the local polynomial over [0, h); c0 when h is infinite,
+    where carriers level off."""
+    c0, c1, c2 = coeff
+    if not math.isfinite(h):
+        return c0
+    best = max(c0, _poly_value(coeff, h))
+    vertex = -c1 / (2.0 * c2) if c2 != 0.0 else 0.0
+    if 0.0 < vertex < h:
+        best = max(best, _poly_value(coeff, vertex))
+    return best
+
+
 def _poly_roots(coeff: tuple[float, float, float], lo: float, hi: float) -> list[float]:
     """Roots of the local polynomial strictly inside (lo, hi), ascending."""
     c0, c1, c2 = coeff
@@ -130,16 +143,26 @@ class PiecewiseFn:
         )
 
     def with_breaks(self, grid: tuple[float, ...]) -> "PiecewiseFn":
-        """Refine onto a superset grid without changing the function."""
-        merged = sorted(set(self.breaks) | set(grid))
+        """Refine onto a superset grid without changing the function.
+
+        Returns self when grid adds no point; otherwise one forward walk
+        keeps the coefficients at the function's own breaks and re-anchors
+        the piece in force at each new point."""
+        merged = merge_grids(self.breaks, grid)
+        if len(merged) == len(self.breaks):
+            return self
+        own, n = self.breaks, len(self.breaks)
         coeffs = []
+        i = -1
         for b in merged:
-            i = self.segment_index(b)
-            if i < 0:
+            if i + 1 < n and own[i + 1] == b:
+                i += 1
+                coeffs.append(self.coeffs[i])
+            elif i < 0:
                 coeffs.append((self.left, 0.0, 0.0))
             else:
-                coeffs.append(_poly_shift(self.coeffs[i], b - self.breaks[i]))
-        return PiecewiseFn(tuple(merged), self.left, tuple(coeffs))
+                coeffs.append(_poly_shift(self.coeffs[i], b - own[i]))
+        return PiecewiseFn(merged, self.left, tuple(coeffs))
 
     def shift(self, c: float) -> "PiecewiseFn":
         return PiecewiseFn(tuple(b + c for b in self.breaks), self.left, self.coeffs)
@@ -162,7 +185,7 @@ class PiecewiseFn:
     # -- arithmetic on a common grid --------------------------------------
 
     def _binary(self, other: "PiecewiseFn", op) -> "PiecewiseFn":
-        grid = tuple(sorted(set(self.breaks) | set(other.breaks)))
+        grid = merge_grids(self.breaks, other.breaks)
         a = self.with_breaks(grid)
         b = other.with_breaks(grid)
         coeffs = tuple(
@@ -176,6 +199,21 @@ class PiecewiseFn:
 
     def sub(self, other: "PiecewiseFn") -> "PiecewiseFn":
         return self._binary(other, lambda p, q: p - q)
+
+
+def merge_grids(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Sorted union of two break tuples.
+
+    For sorted inputs the sort sees two ascending runs and merges them in
+    one linear pass; dict.fromkeys then drops the points both share.
+    """
+    if not b or b == a:
+        return tuple(a)
+    if not a:
+        return tuple(b)
+    merged = [*a, *b]
+    merged.sort()
+    return tuple(dict.fromkeys(merged))
 
 
 def eval(f: PiecewiseFn, x: float) -> float:  # noqa: A001 - spec operation name
@@ -334,7 +372,7 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
     """
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
-    grid = tuple(sorted(set(f.breaks) | set(w.breaks)))
+    grid = merge_grids(f.breaks, w.breaks)
     if not grid:
         return (), ()
     ff = f.with_breaks(grid)
@@ -350,24 +388,6 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
         elif i + 1 == len(grid) and any(c != 0.0 for c in num):
             raise NonIntegrableTail("right tail must be identically zero")
     return grid, tuple(out)
-
-
-def weighted_area(f: PiecewiseFn, w: PiecewiseFn, t: float) -> float:
-    """integral over (-inf, t] of f(x)/w(x) dx, exact per segment."""
-    if f.left != 0.0:
-        raise NonIntegrableTail("left tail must be identically zero")
-    grid = tuple(sorted(set(f.breaks) | set(w.breaks)))
-    ff = f.with_breaks(grid)
-    ww = w.with_breaks(grid)
-    total = 0.0
-    for i, b in enumerate(grid):
-        if b >= t:
-            break
-        h = min(grid[i + 1], t) - b if i + 1 < len(grid) else t - b
-        num = ff.coeffs[i]
-        if h > 0.0 and any(c != 0.0 for c in num):
-            total += _weighted_segment(num, ww.coeffs[i], h)
-    return total
 
 
 def crossings(f: PiecewiseFn, tol: float = 0.0) -> list[float]:

@@ -20,13 +20,14 @@ from enum import Enum
 
 from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
+from .geometry import PairGeometry, pair_geometry, total_area_from_cum
 from .piecewise import (
     DivisionByZeroGamma,
     PiecewiseFn,
+    _poly_max,
     _poly_roots,
     _poly_value,
-    cum_area_fn,
-    signed_parts,
+    merge_grids,
 )
 
 __all__ = [
@@ -167,14 +168,6 @@ def _segment_rep(breaks: tuple[float, ...], i: int) -> float:
 # -- base-type constructors -----------------------------------------------
 
 
-def _sign_cells(F: Distribution, G: Distribution):
-    """Sign-pure cells of F - G: (grid, neg-flags, neg part, pos part)."""
-    diff = F.carrier.sub(G.carrier)
-    pos, neg = signed_parts(diff)
-    flags = tuple(any(c != 0.0 for c in neg.coeffs[i]) for i in range(len(neg.breaks)))
-    return neg.breaks, flags, neg, pos
-
-
 def _compress(breaks: list[float], slopes: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Drop breakpoints that separate equal slopes."""
     out_b: list[float] = []
@@ -184,6 +177,19 @@ def _compress(breaks: list[float], slopes: list[float]) -> tuple[tuple[float, ..
             out_b.append(b)
             out_s.append(s)
     return tuple(out_b), tuple(out_s)
+
+
+def _base_mf(t: float, geom: PairGeometry, gf: GammaFn) -> UtilityPWL:
+    gt = gf.value(t)
+    breaks: list[float] = []
+    slopes: list[float] = [gt]
+    for b, is_neg in zip(geom.grid, geom.neg_flags):
+        if b >= t:
+            break
+        breaks.append(b)
+        slopes.append(1.0 if is_neg else gt)
+    cb, cs = _compress(breaks + [t], slopes + [0.0])
+    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_mf")
 
 
 def make_base_mf(t: float, F: Distribution, G: Distribution,
@@ -196,19 +202,39 @@ def make_base_mf(t: float, F: Distribution, G: Distribution,
     gamma(t) * surplus(t) - deficit(t) exactly.
     """
     gf = validate_gamma(g)
-    gt = gf.value(t)
-    grid, flags, _, _ = _sign_cells(F, G)
+    return _base_mf(t, pair_geometry(F, G), gf)
+
+
+def _reweighted_slopes(geom: PairGeometry, w: PiecewiseFn, t: float, name: str,
+                       slope) -> tuple[list[float], list[float]]:
+    """Breaks and slopes left of t: 1 on non-negative cells, slope(w) on
+    negative cells, where w must be constant and positive."""
+    grid = merge_grids(geom.grid, w.breaks)
+    wm = w.with_breaks(grid)
+    ng = geom.neg.with_breaks(grid)
     breaks: list[float] = []
-    slopes: list[float] = [gt]
-    for b, is_neg in zip(grid, flags):
+    slopes: list[float] = [1.0]
+    for i, b in enumerate(grid):
         if b >= t:
             break
+        s = 1.0
+        if any(c != 0.0 for c in ng.coeffs[i]):
+            w0, w1, w2 = wm.coeffs[i]
+            if w1 != 0.0 or w2 != 0.0:
+                raise NonStepGammaOnNegativeRegion(
+                    f"{name} varies on a cell where the difference is negative")
+            if w0 <= 0.0:
+                raise DivisionByZeroGamma(f"{name} vanishes on a negative cell")
+            s = slope(w0)
         breaks.append(b)
-        slopes.append(1.0 if is_neg else gt)
-    breaks.append(t)
-    slopes.append(0.0)
-    cb, cs = _compress(breaks, slopes)
-    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_mf")
+        slopes.append(s)
+    return breaks, slopes
+
+
+def _base_ff(t: float, geom: PairGeometry, gf: GammaFn) -> UtilityPWL:
+    breaks, slopes = _reweighted_slopes(geom, gf.carrier, t, "gamma", lambda g0: 1.0 / g0)
+    cb, cs = _compress(breaks + [t], slopes + [0.0])
+    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_ff")
 
 
 def make_base_ff(t: float, F: Distribution, G: Distribution,
@@ -220,32 +246,14 @@ def make_base_ff(t: float, F: Distribution, G: Distribution,
     otherwise) and positive there.
     """
     gf = validate_gamma(g)
-    grid0, _, neg, _ = _sign_cells(F, G)
-    grid = tuple(sorted(set(grid0) | set(gf.carrier.breaks)))
-    gm = gf.carrier.with_breaks(grid)
-    ng = neg.with_breaks(grid)
-    breaks: list[float] = []
-    slopes: list[float] = [1.0]
-    for i, b in enumerate(grid):
-        if b >= t:
-            break
-        is_neg = any(c != 0.0 for c in ng.coeffs[i])
-        if not is_neg:
-            s = 1.0
-        else:
-            g0, g1, g2 = gm.coeffs[i]
-            if g1 != 0.0 or g2 != 0.0:
-                raise NonStepGammaOnNegativeRegion(
-                    "gamma varies on a cell where the difference is negative")
-            if g0 <= 0.0:
-                raise DivisionByZeroGamma("gamma vanishes on a negative cell")
-            s = 1.0 / g0
-        breaks.append(b)
-        slopes.append(s)
-    breaks.append(t)
-    slopes.append(0.0)
+    return _base_ff(t, pair_geometry(F, G), gf)
+
+
+def _base_asd(geom: PairGeometry, ef: EpsilonFn) -> UtilityPWL:
+    breaks, slopes = _reweighted_slopes(geom, ef.carrier, math.inf, "epsilon",
+                                        lambda e0: (1.0 - e0) / e0)
     cb, cs = _compress(breaks, slopes)
-    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_ff")
+    return UtilityPWL(cb, cs, anchor=(0.0, 0.0), provenance="base_asd")
 
 
 def make_base_asd(F: Distribution, G: Distribution,
@@ -254,36 +262,15 @@ def make_base_asd(F: Distribution, G: Distribution,
     non-negative cells, (1 - eps(x)) / eps(x) on negative cells, no
     cutoff. epsilon must be constant across each negative cell."""
     ef = validate_epsilon(e)
-    grid0, _, neg, _ = _sign_cells(F, G)
-    grid = tuple(sorted(set(grid0) | set(ef.carrier.breaks)))
-    em = ef.carrier.with_breaks(grid)
-    ng = neg.with_breaks(grid)
-    breaks: list[float] = []
-    slopes: list[float] = [1.0]
-    for i, b in enumerate(grid):
-        is_neg = any(c != 0.0 for c in ng.coeffs[i])
-        if not is_neg:
-            s = 1.0
-        else:
-            e0, e1, e2 = em.coeffs[i]
-            if e1 != 0.0 or e2 != 0.0:
-                raise NonStepGammaOnNegativeRegion(
-                    "epsilon varies on a cell where the difference is negative")
-            s = (1.0 - e0) / e0
-        breaks.append(b)
-        slopes.append(s)
-    cb, cs = _compress(breaks, slopes)
-    return UtilityPWL(cb, cs, anchor=(0.0, 0.0), provenance="base_asd")
+    return _base_asd(pair_geometry(F, G), ef)
 
 
 # -- expected utility ------------------------------------------------------
 
 
-def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> float:
-    """E_G[u] - E_F[u], via integration by parts: the slope-weighted sum
-    of the CDF-difference area accrued on each utility segment."""
-    C = cum_area_fn(F.carrier.sub(G.carrier))
-    final = C.value(C.breaks[-1]) if C.breaks else 0.0
+def _gap(geom: PairGeometry, u: UtilityPWL) -> float:
+    C = geom.C
+    final = total_area_from_cum(C)
     total = 0.0
     prev = 0.0
     for i, s in enumerate(u.slopes):
@@ -292,6 +279,12 @@ def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> flo
             total += s * (end - prev)
         prev = end
     return total
+
+
+def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> float:
+    """E_G[u] - E_F[u], via integration by parts: the slope-weighted sum
+    of the CDF-difference area accrued on each utility segment."""
+    return _gap(pair_geometry(F, G), u)
 
 
 # -- membership ------------------------------------------------------------
@@ -323,7 +316,7 @@ def _refined_cells(u: UtilityPWL, carrier: PiecewiseFn):
     weight sup over the cell). The weight sup of the last cell is its
     constant value; validated weights level off there.
     """
-    grid = tuple(sorted(set(u.breaks) | set(carrier.breaks)))
+    grid = merge_grids(u.breaks, carrier.breaks)
     w = carrier.with_breaks(grid)
     cells = []
     if not grid:
@@ -352,16 +345,11 @@ def _cell_rep(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_dpm_gamma(u: UtilityPWL, g: GammaFn | PiecewiseFn, tol: float = 1e-9,
-                    opposite_sides: bool = False) -> MembershipVerdict:
+def check_dpm_gamma(u: UtilityPWL, g: GammaFn | PiecewiseFn,
+                    tol: float = 1e-9) -> MembershipVerdict:
     """Graded slope class: sup of gamma over each cell times that cell's
     slope must not exceed the inclusive prefix minimum of slopes.
-
-    The opposite_sides variant compares against left derivatives
-    instead; for piecewise-constant slopes the attainable bound is the
-    same prefix minimum, so the scan is shared.
     """
-    del opposite_sides  # same computation for piecewise-constant slopes
     gf = validate_gamma(g)
     cells = _refined_cells(u, gf.carrier)
     pref = math.inf
@@ -384,27 +372,8 @@ def check_membership_asd(u: UtilityPWL, e: EpsilonFn | PiecewiseFn,
     global minimum slope scaled by inf over the cell of (1-eps)/eps."""
     ef = validate_epsilon(e)
     m = min(u.slopes)
-    grid = tuple(sorted(set(u.breaks) | set(ef.carrier.breaks)))
-    w = ef.carrier.with_breaks(grid)
-    cell_list: list[tuple[float, float, float, float]] = []
-    if not grid:
-        cell_list.append((-math.inf, math.inf, u.slopes[0], w.left))
-    else:
-        cell_list.append((-math.inf, grid[0], u.slopes[0], w.left))
-        for i, b in enumerate(grid):
-            s = u.slopes[bisect.bisect_right(u.breaks, b)]
-            c0, c1, c2 = w.coeffs[i]
-            if i + 1 < len(grid):
-                h = grid[i + 1] - b
-                sup = max(c0, _poly_value((c0, c1, c2), h))
-                if c2 != 0.0:
-                    v = -c1 / (2.0 * c2)
-                    if 0.0 < v < h:
-                        sup = max(sup, _poly_value((c0, c1, c2), v))
-            else:
-                sup = c0
-            cell_list.append((b, math.inf if i + 1 == len(grid) else grid[i + 1], s, sup))
-    for lo, hi, s, eps_sup in cell_list:
+    for lo, hi, s, coeff, _ in _refined_cells(u, ef.carrier):
+        eps_sup = _poly_max(coeff, hi - lo)
         bound = m * (1.0 - eps_sup) / eps_sup
         if s > bound + tol:
             y = _cell_rep(lo, hi)

@@ -11,12 +11,12 @@ import random
 
 import sdorder as sd
 import support
-from sdorder.gamma import _area_pair, total_area_from_cum
+from sdorder.geometry import pair_geometry
 
 
 def _total_ratio(F, G):
-    Ap, An = _area_pair(F, G)
-    return total_area_from_cum(An) / total_area_from_cum(Ap)
+    geom = pair_geometry(F, G)
+    return geom.deficit / geom.surplus
 
 
 def test_criterion_01_two_point_spread_battery():
@@ -42,9 +42,9 @@ def test_criterion_02_flat_stretch_squares():
 
 def test_criterion_03_strict_inclusion_constants():
     F, G = sd.example_strict_inclusion(0.0, sd.GammaFn.const(0.5), 0.25)
-    Ap, An = _area_pair(F, G)
-    assert total_area_from_cum(Ap) == 0.25
-    assert total_area_from_cum(An) == 0.125
+    geom = pair_geometry(F, G)
+    assert geom.surplus == 0.25
+    assert geom.deficit == 0.125
     assert abs(sd.min_constant_gamma(F, G) - 0.5) <= 1e-12
     assert abs(sd.min_constant_epsilon(F, G) - 1.0 / 3.0) <= 1e-12
 
@@ -64,8 +64,7 @@ def test_criterion_04_minimal_gamma_optimality():
         F, G = support.ssd_pair(rng, max_atoms=12)
         g = sd.min_gamma(F, G)
         assert sd.check_mfsd(F, G, g).margin >= -1e-9
-        _, An = _area_pair(F, G)
-        if total_area_from_cum(An) <= 0.0:
+        if pair_geometry(F, G).deficit <= 0.0:
             continue
         # genuine crossing: the envelope is 0 through the first sign
         # change, so scaling the whole carrier only shrinks it beyond

@@ -15,6 +15,7 @@ from sdorder.cli import (
     _carrier_to_pieces,
     _pieces_to_carrier,
     load_distribution,
+    load_gamma,
     load_utility,
     main,
     serialize_distribution,
@@ -315,6 +316,16 @@ class TestInputErrors:
                            "--gamma", str(p))
         assert code == 2 and "error:" in err
 
+    def test_gamma_vanishing_under_deficit(self, spread_files, tmp_path, capsys):
+        p = tmp_path / "zero.json"
+        p.write_text('{"kind": "gamma", "pieces": [{"x": 100, "jump": 1,'
+                     ' "slope_after": 0}]}')
+        for command in ("check", "oracle"):
+            code, _, err = run(capsys, command, "--order", "ffsd",
+                               "--f", spread_files["f"], "--g", spread_files["g"],
+                               "--gamma", str(p))
+            assert code == 2 and "error:" in err
+
     def test_bad_csv_line(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         p.write_text("1\nxx\n")
@@ -380,6 +391,19 @@ class TestWireRoundTrips:
         e = load_epsilon(str(path), 1e-9)
         for t in (-10.0, -0.5, 0.0, 7.0):
             assert e.value(t) == 0.3
+
+    def test_gamma_left_tail_survives(self, tmp_path):
+        F, G, _ = sd.example_identical_means(2.0, 1.0)
+        step = sd.validate_gamma(sd.PiecewiseFn.step((-0.5, 0.5), (0.5, 0.75, 1.0)))
+        envelope = sd.min_gamma(F, G)
+        path = tmp_path / "gamma.json"
+        for g in (sd.GammaFn.const(0.5), step, envelope):
+            path.write_text(serialize_gamma(g))
+            back = load_gamma(str(path), 1e-9)
+            for t in (-10.0, -1.0, -0.5, 0.0, 0.5, 2.0, 2.5, 3.0, 10.0):
+                assert back.value(t) == pytest.approx(g.value(t), abs=1e-12)
+        # a zero left tail is written as before, without the field
+        assert "left" not in json.loads(serialize_gamma(envelope))
 
     def test_min_gamma_output_reloads(self, spread_files, tmp_path, capsys):
         code, out, _ = run(capsys, "min-gamma", "--format", "json",

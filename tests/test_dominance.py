@@ -81,13 +81,6 @@ class TestConstantWeight:
         v = sd.check_fractional(F, G, 0.5 - 1e-12)
         assert v.holds and v.margin < 0.0
 
-    def test_short_circuit_uses_tail_balance(self, spread_pair):
-        F, G, _ = spread_pair
-        v = sd.check_fractional(F, G, 0.5, short_circuit=True)
-        assert not v.holds
-        assert len(v.diagnostics) == 1
-        assert v.witness_t == 3.0
-
 
 class TestGradedWeight:
     def test_interpolating_ramp_binds(self, spread_pair):

@@ -11,9 +11,8 @@ from sdorder.gamma import (
     EpsilonOutOfRange,
     NotMonotone,
     RangeViolation,
-    _area_pair,
-    total_area_from_cum,
 )
+from sdorder.geometry import pair_geometry
 
 
 class TestValidateGamma:
@@ -152,8 +151,8 @@ class TestConstants:
     def test_constant_epsilon_matches_total_areas(self, seed):
         rng = random.Random(seed)
         F, G = support.arb_pair(rng)
-        Ap, An = _area_pair(F, G)
-        dn, up = total_area_from_cum(An), total_area_from_cum(Ap)
+        geom = pair_geometry(F, G)
+        dn, up = geom.deficit, geom.surplus
         r = sd.min_constant_epsilon(F, G)
         got = r.value if isinstance(r, sd.Infeasible) else r
         if dn + up > 0.0:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import sdorder as sd
-from sdorder.gamma import _area_pair, total_area_from_cum
+from sdorder.geometry import pair_geometry
 from sdorder.generators import (
     NoValidRational,
     ParameterViolation,
@@ -16,8 +16,8 @@ from sdorder.utility import ExclusionKind, check_dpm_gamma, mfsd_exclusion
 
 
 def _area_ratio(F, G):
-    surplus, deficit = _area_pair(F, G)
-    return total_area_from_cum(deficit) / total_area_from_cum(surplus)
+    geom = pair_geometry(F, G)
+    return geom.deficit / geom.surplus
 
 
 class TestIdenticalMeans:
@@ -163,9 +163,9 @@ class TestStrictInclusion:
         assert F.carrier.coeffs == ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
         assert G.carrier.breaks == (0.0, 0.5)
         assert G.carrier.coeffs[0][0] == pytest.approx(0.75)
-        surplus, deficit = _area_pair(F, G)
-        assert total_area_from_cum(surplus) == pytest.approx(0.25)
-        assert total_area_from_cum(deficit) == pytest.approx(0.125)
+        geom = pair_geometry(F, G)
+        assert geom.surplus == pytest.approx(0.25)
+        assert geom.deficit == pytest.approx(0.125)
         assert sd.first_negative_point(F.carrier.sub(G.carrier)) == 0.0
 
     def test_weight_is_read_right_continuously_at_the_crossing(self):

@@ -19,6 +19,31 @@ def _cfg(F, G, g=None, **kw):
     return sd.SamplerConfig(t_grid=support.probe_grid(F, G, g), **kw)
 
 
+class TestSharedGeometry:
+    @pytest.mark.parametrize("count", [8, 64])
+    def test_one_difference_per_agreement_call(self, spread, monkeypatch, count):
+        F, G, g = spread
+        calls = []
+        sub = sd.PiecewiseFn.sub
+
+        def counted(self, other):
+            calls.append(1)
+            return sub(self, other)
+
+        monkeypatch.setattr(sd.PiecewiseFn, "sub", counted)
+        cfg = _cfg(F, G, g, count=count)
+        step = sd.validate_gamma(sd.PiecewiseFn.step((2.5,), (0.5, 1.0)))
+        runs = (lambda: sd.agreement_mfsd(F, G, sd.GammaFn.const(0.25), cfg),
+                lambda: sd.agreement_ffsd(F, G, step, cfg),
+                lambda: sd.agreement_easd(F, G, sd.EpsilonFn.const(0.25), cfg))
+        for run in runs:
+            calls.clear()
+            rep = run()
+            # failing verdicts, so the witness step runs too
+            assert not rep.verdict.holds and rep.count == count + 1
+            assert len(calls) <= 1
+
+
 class TestSamplerConfig:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):

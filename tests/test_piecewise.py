@@ -14,9 +14,10 @@ from sdorder.piecewise import (
     cum_area_fn,
     eval as pw_eval,
     first_negative_point,
+    merge_grids,
     signed_parts,
     total_area,
-    weighted_area,
+    weighted_area_fn_values,
 )
 
 DY = [k / 8.0 for k in range(-24, 25)]
@@ -97,6 +98,20 @@ def test_refinement_preserves_values(f):
     g = f.with_breaks(tuple(x + 1.0 / 16.0 for x in f.breaks))
     for x in probe_points(f):
         assert g.value(x) == pytest.approx(f.value(x), abs=1e-12)
+    # a grid that shares points with f keeps f's coefficients at them
+    mixed = f.with_breaks(merge_grids(f.breaks[1:], (f.breaks[0] - 0.5,)))
+    assert mixed.breaks[1:] == f.breaks
+    assert mixed.coeffs[1:] == f.coeffs
+    assert mixed.coeffs[0] == (f.left, 0.0, 0.0)
+    # a grid that adds no point leaves the function as it is
+    assert f.with_breaks(f.breaks[::2]) is f
+
+
+def test_merge_grids_is_the_sorted_union():
+    assert merge_grids((0.0, 1.0, 2.0), (1.0, 1.5, 3.0)) == (0.0, 1.0, 1.5, 2.0, 3.0)
+    assert merge_grids((), (1.0,)) == (1.0,)
+    assert merge_grids((1.0,), ()) == (1.0,)
+    assert merge_grids((), ()) == ()
 
 
 @given(linear_pwl(), linear_pwl())
@@ -202,27 +217,35 @@ def test_integration_rejects_bad_tails():
                                 ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))))
 
 
+def _weighted_at(f, w, t):
+    """Node value of the cumulative f/w at the grid point t."""
+    grid, values = weighted_area_fn_values(f, w)
+    return values[grid.index(t)]
+
+
 def test_weighted_area_log_branch():
     f = PiecewiseFn((0.0, 1.0), 0.0, ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     w = PiecewiseFn((0.0,), 1.0, ((1.0, 1.0, 0.0),))
-    assert weighted_area(f, w, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert weighted_area(f, w, 0.5) == pytest.approx(math.log(1.5), abs=1e-12)
+    assert _weighted_at(f, w, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
+    # a break at 0.5 puts a node there without changing f
+    assert _weighted_at(f.with_breaks((0.5,)), w, 0.5) == pytest.approx(
+        math.log(1.5), abs=1e-12)
 
 
 def test_weighted_area_constant_weight_reduces_to_division():
     f = PiecewiseFn((0.0, 2.0), 0.0, ((0.5, 0.25, 0.0), (0.0, 0.0, 0.0)))
     w = PiecewiseFn.constant(0.5)
     plain = cum_area(f, 2.0)
-    assert weighted_area(f, w, 2.0) == pytest.approx(plain / 0.5, abs=1e-12)
+    assert _weighted_at(f, w, 2.0) == pytest.approx(plain / 0.5, abs=1e-12)
 
 
 def test_weighted_area_zero_weight_only_matters_with_mass():
     f = PiecewiseFn((1.0, 2.0), 0.0, ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     w_ok = PiecewiseFn.step((1.0,), (0.0, 0.5))   # zero only where f is zero
-    assert weighted_area(f, w_ok, 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert _weighted_at(f, w_ok, 2.0) == pytest.approx(2.0, abs=1e-12)
     w_bad = PiecewiseFn.step((1.5,), (0.0, 0.5))  # zero under live mass
     with pytest.raises(DivisionByZeroGamma):
-        weighted_area(f, w_bad, 2.0)
+        weighted_area_fn_values(f, w_bad)
 
 
 def test_crossings_attribute_zero_runs_to_the_later_region():

@@ -7,11 +7,20 @@ from hypothesis import strategies as st
 
 import sdorder as sd
 import support
-from sdorder.gamma import _area_pair
+from sdorder.geometry import pair_geometry
 
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@st.composite
+def dyadic_utility(draw):
+    breaks = sorted(draw(st.lists(st.sampled_from(support.GRID), max_size=5, unique=True)))
+    slopes = draw(st.lists(st.floats(0.0, 4.0), min_size=len(breaks) + 1,
+                           max_size=len(breaks) + 1))
+    anchor = (draw(st.sampled_from(support.GRID)), draw(st.floats(-5.0, 5.0)))
+    return sd.UtilityPWL(tuple(breaks), tuple(slopes), anchor=anchor)
 
 
 class TestUtilityPWL:
@@ -64,6 +73,19 @@ class TestExpectedUtilityGap:
                 Fp.to_distribution(), Gp.to_distribution(), u)
             assert got == pytest.approx(direct, abs=1e-10)
 
+    @given(st.integers(0, 10 ** 9), dyadic_utility())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_direct_atom_sum_for_any_slopes(self, seed, u):
+        # summed with UtilityPWL.value alone, so it shares no algebra with
+        # the integration by parts under test
+        rng = seeded(seed)
+        Fp, Gp = support.dyadic_pmf(rng), support.dyadic_pmf(rng)
+        direct = (sum(p * u.value(x) for x, p in Gp.atoms)
+                  - sum(p * u.value(x) for x, p in Fp.atoms))
+        scale = max(1.0, *(abs(u.value(x)) for x, _ in Fp.atoms + Gp.atoms))
+        got = sd.expected_utility_gap(Fp.to_distribution(), Gp.to_distribution(), u)
+        assert abs(got - direct) <= 1e-12 * scale
+
     def test_combination_is_linear_in_the_utility(self):
         rng = seeded(12)
         F, G = support.arb_pair(rng)
@@ -83,7 +105,8 @@ class TestBaseConstructors:
         for _ in range(25):
             F, G = support.ssd_pair(rng, max_atoms=8)
             g = support.step_gamma(rng)
-            Ap, An = _area_pair(F, G)
+            geom = pair_geometry(F, G)
+            Ap, An = geom.Ap, geom.An
             for t in support.probe_grid(F, G, g):
                 u = sd.make_base_mf(t, F, G, g)
                 assert sd.check_dpm_gamma(u, g).member
