@@ -60,8 +60,8 @@ class RunConfig:
     samples: int = 500
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
 
 
 class InputError(ValueError):
@@ -85,6 +85,14 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _finite(v) -> float:
+    """float(v), refusing NaN and the infinities: no verdict is right on them."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v!r}")
+    return x
+
+
 def _pieces_to_carrier(obj: dict, path: str, kind: str) -> PiecewiseFn:
     if obj.get("kind") != kind:
         raise InputError(f"{path}: expected kind '{kind}', got {obj.get('kind')!r}")
@@ -93,28 +101,28 @@ def _pieces_to_carrier(obj: dict, path: str, kind: str) -> PiecewiseFn:
         raise InputError(f"{path}: 'pieces' must be a non-empty list")
     try:
         # a gamma may start from a non-zero "left" value; a cdf starts at 0
-        start = float(obj.get("left", 0.0)) if kind == "gamma" else 0.0
+        value = _finite(obj.get("left", 0.0)) if kind == "gamma" else 0.0
     except (TypeError, ValueError) as e:
         raise InputError(f"{path}: left: {e}") from e
+    start = value
     breaks: list[float] = []
     coeffs: list[tuple[float, float, float]] = []
-    value = start
     for i, p in enumerate(pieces):
         try:
-            x = float(p["x"])
-            jump = float(p["jump"])
-            slope = float(p["slope_after"])
-            quad = float(p.get("quad", 0.0))
-        except (KeyError, TypeError, ValueError) as e:
+            x = _finite(p["x"])
+            jump = _finite(p["jump"])
+            slope = _finite(p["slope_after"])
+            quad = _finite(p.get("quad", 0.0))
+        except KeyError as e:
+            raise InputError(f"{path}: piece {i}: missing {e}") from e
+        except (TypeError, ValueError) as e:
             raise InputError(f"{path}: piece {i}: {e}") from e
-        if breaks and x <= breaks[-1]:
-            raise InputError(f"{path}: piece {i}: x values must be strictly increasing")
+        if breaks:
+            if x <= breaks[-1]:
+                raise InputError(f"{path}: piece {i}: x values must be strictly increasing")
+            value = _poly_value(coeffs[-1], x - breaks[-1])
         breaks.append(x)
-        c0 = value + jump
-        coeffs.append((c0, slope, quad))
-        if i + 1 < len(pieces):
-            h = float(pieces[i + 1]["x"]) - x
-            value = _poly_value((c0, slope, quad), h)
+        coeffs.append((value + jump, slope, quad))
     # an epsilon must stay inside its open band everywhere, so its first
     # value is extended leftward instead
     left = coeffs[0][0] if kind == "epsilon" else start
@@ -129,15 +137,12 @@ def _carrier_to_pieces(carrier: PiecewiseFn, kind: str) -> dict:
         # constant carrier: a single piece at 0 carrying the value
         carrier = carrier.with_breaks((0.0,))
     pieces = []
-    for i, x in enumerate(carrier.breaks):
-        c0, c1, c2 = carrier.coeffs[i]
+    for x, h, (c0, c1, c2) in carrier.cells():
         piece = {"x": x, "jump": c0 - value, "slope_after": c1}
         if c2 != 0.0:
             piece["quad"] = c2
         pieces.append(piece)
-        if i + 1 < len(carrier.breaks):
-            h = carrier.breaks[i + 1] - x
-            value = _poly_value((c0, c1, c2), h)
+        value = _poly_value((c0, c1, c2), h)  # past the unbounded last cell: never read
     return {**head, "pieces": pieces}
 
 
@@ -189,14 +194,14 @@ def load_utility(path: str) -> UtilityPWL:
     if obj.get("kind") != "utility":
         raise InputError(f"{path}: expected kind 'utility', got {obj.get('kind')!r}")
     try:
-        anchor = (float(obj["anchor"]["x"]), float(obj["anchor"]["value"]))
+        anchor = (_finite(obj["anchor"]["x"]), _finite(obj["anchor"]["value"]))
         segs = obj["segments"]
         if not isinstance(segs, list) or not segs:
             raise InputError(f"{path}: 'segments' must be a non-empty list")
         if segs[0]["from"] != "-inf":
             raise InputError(f"{path}: first segment must start at \"-inf\"")
-        slopes = [float(s["slope"]) for s in segs]
-        breaks = [float(s["from"]) for s in segs[1:]]
+        slopes = [_finite(s["slope"]) for s in segs]
+        breaks = [_finite(s["from"]) for s in segs[1:]]
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -289,7 +294,7 @@ def _resolve_gamma(args, tol: float) -> GammaFn:
         return load_gamma(args.gamma, tol)
     if getattr(args, "gamma_const", None) is not None:
         try:
-            return GammaFn.const(args.gamma_const)
+            return GammaFn.const(_finite(args.gamma_const))
         except ValueError as e:
             raise InputError(f"--gamma-const: {e}") from e
     raise InputError("this order needs --gamma FILE or --gamma-const VALUE")
@@ -308,7 +313,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
         if args.gamma_const is None:
             raise InputError("frac needs --gamma-const VALUE")
         try:
-            v = check_fractional(F, G, args.gamma_const, tol=tol)
+            v = check_fractional(F, G, _finite(args.gamma_const), tol=tol)
         except ValueError as e:
             raise InputError(f"--gamma-const: {e}") from e
     elif order == "mfsd":
@@ -326,12 +331,11 @@ def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:
     carrier = g.carrier
     if not carrier.breaks:
         return [(0.0, carrier.left), (1.0, carrier.left)]
-    pts = [carrier.breaks[0] - 1.0]
-    for i, b in enumerate(carrier.breaks):
-        pts.append(b)
-        if i + 1 < len(carrier.breaks):
-            pts.append((b + carrier.breaks[i + 1]) / 2.0)
-    pts.append(carrier.breaks[-1] + 1.0)
+    bs = carrier.breaks
+    pts = [bs[0] - 1.0]
+    for lo, hi in zip(bs, bs[1:]):
+        pts += (lo, (lo + hi) / 2.0)  # not lo + width / 2, which rounds otherwise
+    pts += (bs[-1], bs[-1] + 1.0)
     return [(t, carrier.value(t)) for t in pts]
 
 
@@ -578,8 +582,8 @@ def _run_config(args) -> RunConfig:
                 raise InputError(f"{TOL_ENV}: not a number: {env!r}") from e
         else:
             tol = DEFAULT_TOL
-    if not tol > 0.0:
-        raise InputError("tolerance must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InputError("tolerance must be positive and finite")
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
     return RunConfig(tolerance=tol, fmt=args.format, seed=args.seed,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .piecewise import PiecewiseFn
+from .piecewise import PiecewiseFn, _poly_value
 
 
 class EmptyInput(ValueError):
@@ -25,11 +25,8 @@ class WeightMismatch(ValueError):
 
 
 def _left_support(carrier: PiecewiseFn) -> float:
-    for i, b in enumerate(carrier.breaks):
-        c0, c1, _ = carrier.coeffs[i]
-        if c0 > 0.0 or c1 > 0.0:
-            return b
-    return math.inf
+    return next((b for b, (c0, c1, _) in zip(carrier.breaks, carrier.coeffs)
+                 if c0 > 0.0 or c1 > 0.0), math.inf)
 
 
 def _mean_of(carrier: PiecewiseFn) -> float:
@@ -37,15 +34,14 @@ def _mean_of(carrier: PiecewiseFn) -> float:
     # linear pieces. The validated final segment is flat, so the sum is
     # finite by construction.
     mu = 0.0
-    for i, b in enumerate(carrier.breaks):
-        jump = carrier.coeffs[i][0] - carrier.left_limit(b)
+    prev = carrier.left
+    for b, h, c in carrier.cells():
+        jump = c[0] - prev
         if jump != 0.0:
             mu += b * jump
-        if i + 1 < len(carrier.breaks):
-            c1 = carrier.coeffs[i][1]
-            if c1 != 0.0:
-                hi = carrier.breaks[i + 1]
-                mu += c1 * 0.5 * (hi * hi - b * b)
+        if c[1] != 0.0:
+            mu += c[1] * h * (b + h / 2)
+        prev = _poly_value(c, h)  # past the unbounded last cell: never read
     return mu
 
 
@@ -76,13 +72,12 @@ class Distribution:
         if c1 != 0.0 or abs(c0 - 1.0) > tol:
             raise ValueError("a CDF must reach 1 at its last breakpoint and stay there")
         prev = carrier.left
-        for i, b in enumerate(carrier.breaks):
-            seg0, seg1, _ = carrier.coeffs[i]
-            if seg0 - prev < -tol:
+        for _, h, c in carrier.cells():
+            if c[0] - prev < -tol:
                 raise ValueError("a CDF cannot jump downward")
-            if seg1 < -tol:
+            if c[1] < -tol:
                 raise ValueError("a CDF cannot have negative density")
-            prev = carrier.left_limit(carrier.breaks[i + 1]) if i + 1 < len(carrier.breaks) else seg0
+            prev = _poly_value(c, h)  # past the unbounded last cell: never read
         return Distribution(carrier, _mean_of(carrier), _left_support(carrier))
 
     def cdf(self, x: float) -> float:
@@ -180,11 +175,3 @@ def convolve(F: DiscretePMF, Z: DiscretePMF) -> DiscretePMF:
             s = x + y
             sums[s] = sums.get(s, 0.0) + p * q
     return DiscretePMF(tuple(sorted(sums.items())))
-
-
-def mean(F: Distribution) -> float:
-    return F.mean
-
-
-def left_support(F: Distribution) -> float:
-    return F.left_support

@@ -30,6 +30,7 @@ from .geometry import PairGeometry, pair_geometry
 from .piecewise import (
     PiecewiseFn,
     _poly_value,
+    common_grid,
     merge_grids,
     signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
     weighted_area_fn_values,
@@ -115,24 +116,16 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
     derivative is linear there and its lone stationary point is solved
     exactly; everywhere else the slack is monotone on each cell.
     """
-    grid = merge_grids(An.breaks, gamma.breaks)
-    ap = Ap.with_breaks(grid)
-    an = An.with_breaks(grid)
-    gm = gamma.with_breaks(grid)
-    cands: list[_Cand] = []
-    first = grid[0]
-    cands.append((first, an.left, gm.left * ap.left, False))
-    for i, b in enumerate(grid):
-        a0, a1, a2 = ap.coeffs[i]
-        n0, n1, n2 = an.coeffs[i]
-        g0, g1, g2 = gm.coeffs[i]
+    grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
+    cands: list[_Cand] = [(grid[0], An.left, gamma.left * Ap.left, False)]
+    # bounded cells: a left limit sits at the next break itself, not at b + h
+    bounded = zip(grid, grid[1:], apc, anc, gmc)
+    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in bounded:
         cands.append((b, n0, g0 * a0, True))
-        if i + 1 == len(grid):
-            break
-        h = grid[i + 1] - b
+        h = end - b
         lhs_end = _poly_value((n0, n1, n2), h)
         rhs_end = _poly_value((g0, g1, g2), h) * _poly_value((a0, a1, a2), h)
-        cands.append((grid[i + 1], lhs_end, rhs_end, False))
+        cands.append((end, lhs_end, rhs_end, False))
         if n1 != 0.0 or n2 != 0.0:
             # slack' = gamma'(d) * surplus - deficit'(d), linear in d
             c = g1 * a0 - n1
@@ -143,6 +136,8 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
                     lhs = _poly_value((n0, n1, n2), d)
                     rhs = _poly_value((g0, g1, g2), d) * a0
                     cands.append((b + d, lhs, rhs, True))
+    # past the last break nothing accrues: its start is the last candidate
+    cands.append((grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0], True))
     return cands
 
 

@@ -118,12 +118,10 @@ def validate_gamma(g: PiecewiseFn, tol: float = 1e-9) -> GammaFn:
     if g.left < -tol:
         raise RangeViolation("gamma must be >= 0")
     prev = g.left
-    for i, b in enumerate(g.breaks):
-        c0, c1, c2 = g.coeffs[i]
+    for _, h, (c0, c1, c2) in g.cells():
         if c0 - prev < -tol:
             raise NotMonotone("gamma jumps downward")
-        if i + 1 < len(g.breaks):
-            h = g.breaks[i + 1] - b
+        if h < math.inf:
             # the derivative of a degree-2 piece is linear: its minimum
             # over the segment sits at one of the two ends
             if c1 < -tol or c1 + 2.0 * c2 * h < -tol:
@@ -155,11 +153,9 @@ def validate_epsilon(e: PiecewiseFn, tol: float = 1e-9) -> EpsilonFn:
     if isinstance(e, EpsilonFn):
         return e
     _eps_attained(e.left)
-    for i, b in enumerate(e.breaks):
-        c0, c1, c2 = e.coeffs[i]
+    for _, h, (c0, c1, c2) in e.cells():
         _eps_attained(c0)
-        if i + 1 < len(e.breaks):
-            h = e.breaks[i + 1] - b
+        if h < math.inf:
             llim = _poly_value((c0, c1, c2), h)
             if llim < 0.0 or llim > 0.5:
                 raise EpsilonOutOfRange("epsilon leaves (0, 1/2) inside a segment")
@@ -187,7 +183,6 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     Ap, An = geom.Ap, geom.An
     if not An.breaks:
         return validate_gamma(PiecewiseFn.constant(0.0))
-    breaks = An.breaks
     cur = 0.0
     env_breaks: list[float] = []
     env_coeffs: list[tuple[float, float, float]] = []
@@ -199,10 +194,7 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
             env_breaks.append(b)
             env_coeffs.append(coeff)
 
-    for i, b in enumerate(breaks):
-        apc = Ap.coeffs[i]
-        anc = An.coeffs[i]
-        h = breaks[i + 1] - b if i + 1 < len(breaks) else math.inf
+    for (b, h, anc), apc in zip(An.cells(), Ap.coeffs):
         rising = anc[1] != 0.0 or anc[2] != 0.0
         if not rising:
             if apc[0] <= 0.0:

@@ -35,7 +35,7 @@ class PairGeometry:
     @cached_property
     def neg_flags(self) -> tuple[bool, ...]:
         """Whether the difference is negative on each grid cell."""
-        return tuple(any(c != 0.0 for c in coeff) for coeff in self.neg.coeffs)
+        return tuple(map(any, self.neg.coeffs))
 
     @cached_property
     def Ap(self) -> PiecewiseFn:

@@ -18,7 +18,7 @@ from .distributions import Distribution
 from .dominance import OrderTag, Verdict, _easd, _ffsd, _graded
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import PairGeometry, pair_geometry
-from .piecewise import _poly_max, merge_grids
+from .piecewise import _poly_max
 from .utility import UtilityPWL, _base_asd, _base_ff, _base_mf, _gap, combine
 
 __all__ = [
@@ -94,11 +94,7 @@ def _segment_sups(gamma: GammaFn, breaks: list[float]) -> list[float]:
     limit at the right endpoint, and the last cell tops out at the
     global upper value.
     """
-    sups = []
-    for i in range(len(breaks)):
-        sups.append(gamma.carrier.left_limit(breaks[i]))
-    sups.append(gamma.upper)
-    return sups
+    return [*map(gamma.carrier.left_limit, breaks), gamma.upper]
 
 
 def _draw_dpm_slopes(
@@ -202,11 +198,7 @@ def sample_ff_utilities(gamma: GammaFn, cfg: SamplerConfig) -> list[UtilityPWL]:
 def _eps_sup(eps: EpsilonFn) -> float:
     """Global supremum of the threshold function over the whole line."""
     carrier = eps.carrier
-    best = carrier.left
-    ends = carrier.breaks[1:] + (math.inf,)
-    for b, end, coeff in zip(carrier.breaks, ends, carrier.coeffs):
-        best = max(best, _poly_max(coeff, end - b))
-    return best
+    return max([carrier.left, *(_poly_max(c, h) for _, h, c in carrier.cells())])
 
 
 def _sample_asd_utilities(eps: EpsilonFn, cfg: SamplerConfig) -> list[UtilityPWL]:
@@ -249,8 +241,8 @@ def _descend_mf_witness(
     gap = _gap(geom, w)
     if gap < -tol:
         return w
-    grid = merge_grids(geom.An.breaks, gamma.carrier.breaks)
-    prev = max((p for p in grid if p < t_star), default=t_star - 1.0)
+    prev = max((p for p in (*geom.An.breaks, *gamma.carrier.breaks) if p < t_star),
+               default=t_star - 1.0)
     step = (t_star - prev) / 2.0
     for _ in range(80):
         cand = _base_mf(t_star - step, geom, gamma)

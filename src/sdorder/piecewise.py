@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -81,6 +83,11 @@ def _poly_roots(coeff: tuple[float, float, float], lo: float, hi: float) -> list
     return out
 
 
+def _widths(breaks: tuple[float, ...]) -> list[float]:
+    """Width of each cell of a grid; the last cell is unbounded."""
+    return [*map(operator.sub, breaks[1:], breaks), math.inf]
+
+
 @dataclass(frozen=True)
 class PiecewiseFn:
     """Right-continuous piecewise polynomial, degree <= 2 per segment.
@@ -125,6 +132,11 @@ class PiecewiseFn:
     def segment_coeff(self, i: int) -> tuple[float, float, float]:
         return (self.left, 0.0, 0.0) if i < 0 else self.coeffs[i]
 
+    def cells(self) -> Iterator[tuple[float, float, tuple[float, float, float]]]:
+        """(start, width, coeff) for every segment, left to right; the
+        last width is inf. The left tail is ``left``."""
+        return zip(self.breaks, _widths(self.breaks), self.coeffs)
+
     # -- structure --------------------------------------------------------
 
     @staticmethod
@@ -143,18 +155,23 @@ class PiecewiseFn:
         )
 
     def with_breaks(self, grid: tuple[float, ...]) -> "PiecewiseFn":
-        """Refine onto a superset grid without changing the function.
-
-        Returns self when grid adds no point; otherwise one forward walk
-        keeps the coefficients at the function's own breaks and re-anchors
-        the piece in force at each new point."""
+        """Refine onto a superset grid without changing the function;
+        self when grid adds no point."""
         merged = merge_grids(self.breaks, grid)
         if len(merged) == len(self.breaks):
             return self
+        return PiecewiseFn(merged, self.left, self._coeffs_on(merged))
+
+    def _coeffs_on(self, grid: tuple[float, ...]) -> tuple[tuple[float, float, float], ...]:
+        """Coefficients on grid, a superset of breaks, in one forward walk:
+        own coefficients at own breaks, the piece in force re-anchored at
+        every other point."""
         own, n = self.breaks, len(self.breaks)
+        if len(grid) == n:
+            return self.coeffs
         coeffs = []
         i = -1
-        for b in merged:
+        for b in grid:
             if i + 1 < n and own[i + 1] == b:
                 i += 1
                 coeffs.append(self.coeffs[i])
@@ -162,7 +179,7 @@ class PiecewiseFn:
                 coeffs.append((self.left, 0.0, 0.0))
             else:
                 coeffs.append(_poly_shift(self.coeffs[i], b - own[i]))
-        return PiecewiseFn(merged, self.left, tuple(coeffs))
+        return tuple(coeffs)
 
     def shift(self, c: float) -> "PiecewiseFn":
         return PiecewiseFn(tuple(b + c for b in self.breaks), self.left, self.coeffs)
@@ -185,20 +202,18 @@ class PiecewiseFn:
     # -- arithmetic on a common grid --------------------------------------
 
     def _binary(self, other: "PiecewiseFn", op) -> "PiecewiseFn":
-        grid = merge_grids(self.breaks, other.breaks)
-        a = self.with_breaks(grid)
-        b = other.with_breaks(grid)
+        grid, (a, b) = common_grid(self, other)
         coeffs = tuple(
             (op(p[0], q[0]), op(p[1], q[1]), op(p[2], q[2]))
-            for p, q in zip(a.coeffs, b.coeffs)
+            for p, q in zip(a, b)
         )
         return PiecewiseFn(grid, op(self.left, other.left), coeffs)
 
     def add(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        return self._binary(other, lambda p, q: p + q)
+        return self._binary(other, operator.add)
 
     def sub(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        return self._binary(other, lambda p, q: p - q)
+        return self._binary(other, operator.sub)
 
 
 def merge_grids(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
@@ -216,9 +231,15 @@ def merge_grids(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]
     return tuple(dict.fromkeys(merged))
 
 
-def eval(f: PiecewiseFn, x: float) -> float:  # noqa: A001 - spec operation name
-    """Right-continuous evaluation of f at x."""
-    return f.value(x)
+def common_grid(*fs: PiecewiseFn, extra: tuple[float, ...] = ()
+                ) -> tuple[tuple[float, ...], list[tuple[tuple[float, float, float], ...]]]:
+    """Merge extra and the break sets of fs once, and walk each f onto
+    the result: (grid, [coefficients of each f on grid]). Left tails are
+    unchanged, so callers read them from fs."""
+    grid = extra
+    for f in fs:
+        grid = merge_grids(grid, f.breaks)
+    return grid, [f._coeffs_on(grid) for f in fs]
 
 
 def compress(f: PiecewiseFn) -> PiecewiseFn:
@@ -237,8 +258,8 @@ def compress(f: PiecewiseFn) -> PiecewiseFn:
     coeffs: list[tuple[float, float, float]] = []
     active = (f.left, 0.0, 0.0)
     active_start = -math.inf
-    for i, b in enumerate(f.breaks):
-        cur = norm(f.coeffs[i])
+    for b, c in zip(f.breaks, f.coeffs):
+        cur = norm(c)
         if math.isfinite(active_start):
             shifted = norm(_poly_shift(active, b - active_start))
         else:
@@ -256,13 +277,33 @@ def compress(f: PiecewiseFn) -> PiecewiseFn:
 
 def _split_at_roots(f: PiecewiseFn) -> PiecewiseFn:
     """Refine so that every segment has constant sign in its interior."""
-    cuts: list[float] = []
-    if f.breaks:
-        for i, b in enumerate(f.breaks):
-            hi = f.breaks[i + 1] - b if i + 1 < len(f.breaks) else math.inf
-            for r in _poly_roots(f.coeffs[i], 0.0, hi):
-                cuts.append(b + r)
-    return f.with_breaks(tuple(cuts)) if cuts else f
+    cuts = tuple(b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h))
+    return f.with_breaks(cuts) if cuts else f
+
+
+def _cell_signs(f: PiecewiseFn, tol: float = 0.0) -> tuple[PiecewiseFn, int, list[int]]:
+    """Split f at its interior roots once and sign every piece.
+
+    Returns (g, sign of the left tail, sign of each cell's interior),
+    where g is f refined so that no cell has a root inside; values within
+    tol of zero count as zero. A bounded cell takes the sign of its
+    midpoint, or of its start when the midpoint is zero. The unbounded
+    last cell takes the sign of its leading coefficient, which f keeps
+    far right, or of its constant when it is flat.
+    """
+    g = _split_at_roots(f)
+
+    def sgn(v: float) -> int:
+        return (v > tol) - (v < -tol)
+
+    signs = []
+    for _, h, c in g.cells():
+        if h < math.inf:
+            signs.append(sgn(_poly_value(c, h / 2)) or sgn(c[0]))
+        else:
+            lead = c[2] or c[1]
+            signs.append((lead > 0.0) - (lead < 0.0) if lead else sgn(c[0]))
+    return g, sgn(g.left), signs
 
 
 def signed_parts(f: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:
@@ -272,36 +313,11 @@ def signed_parts(f: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:
     changes first, so each output segment is either a copy of f's
     polynomial or identically zero; no clipping error is introduced.
     """
-    g = _split_at_roots(f)
-
-    def seg_region_sign(i: int) -> int:
-        # Sign on the open interior; the polynomial has no interior root.
-        if i < 0:
-            v = g.left
-        else:
-            b = g.breaks[i]
-            hi = g.breaks[i + 1] if i + 1 < len(g.breaks) else b + 1.0
-            v = _poly_value(g.coeffs[i], 0.5 * (hi - b))
-            if v == 0.0:
-                v = _poly_value(g.coeffs[i], 0.0)
-        return (v > 0.0) - (v < 0.0)
-
-    pos_coeffs = []
-    neg_coeffs = []
-    for i in range(len(g.breaks)):
-        s = seg_region_sign(i)
-        c = g.coeffs[i]
-        pos_coeffs.append(c if s > 0 else _ZERO)
-        neg_coeffs.append((-c[0], -c[1], -c[2]) if s < 0 else _ZERO)
-    sl = seg_region_sign(-1)
-    pos = PiecewiseFn(g.breaks, g.left if sl > 0 else 0.0, tuple(pos_coeffs))
-    neg = PiecewiseFn(g.breaks, -g.left if sl < 0 else 0.0, tuple(neg_coeffs))
-    return pos, neg
-
-
-def _segment_integral(coeff: tuple[float, float, float], h: float) -> float:
-    c0, c1, c2 = coeff
-    return h * (c0 + h * (c1 / 2.0 + h * c2 / 3.0))
+    g, sl, signs = _cell_signs(f)
+    pos = tuple(c if s > 0 else _ZERO for c, s in zip(g.coeffs, signs))
+    neg = tuple((-c[0], -c[1], -c[2]) if s < 0 else _ZERO for c, s in zip(g.coeffs, signs))
+    return (PiecewiseFn(g.breaks, g.left if sl > 0 else 0.0, pos),
+            PiecewiseFn(g.breaks, -g.left if sl < 0 else 0.0, neg))
 
 
 def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
@@ -312,17 +328,14 @@ def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
     """
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
-    if not f.breaks:
-        return PiecewiseFn.constant(0.0)
     total = 0.0
     coeffs = []
-    for i, b in enumerate(f.breaks):
-        c0, c1, c2 = f.coeffs[i]
+    for _, h, (c0, c1, c2) in f.cells():
         if c2 != 0.0:
             raise ValueError("cumulative of a quadratic segment leaves the carrier")
-        coeffs.append((total, c0, c1 / 2.0))
-        if i + 1 < len(f.breaks):
-            total += _segment_integral(f.coeffs[i], f.breaks[i + 1] - b)
+        half = c1 / 2.0
+        coeffs.append((total, c0, half))
+        total += h * (c0 + h * half)  # past the unbounded last cell: never read
     return PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
 
 
@@ -372,21 +385,15 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
     """
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
-    grid = merge_grids(f.breaks, w.breaks)
-    if not grid:
-        return (), ()
-    ff = f.with_breaks(grid)
-    ww = w.with_breaks(grid)
+    grid, (fc, wc) = common_grid(f, w)
     total = 0.0
-    out = [0.0] * len(grid)
-    for i, b in enumerate(grid):
-        out[i] = total
-        h = (grid[i + 1] - b) if i + 1 < len(grid) else 0.0
-        num = ff.coeffs[i]
-        if h > 0.0 and any(c != 0.0 for c in num):
-            total += _weighted_segment(num, ww.coeffs[i], h)
-        elif i + 1 == len(grid) and any(c != 0.0 for c in num):
-            raise NonIntegrableTail("right tail must be identically zero")
+    out = []
+    for h, num, den in zip(_widths(grid), fc, wc):
+        out.append(total)
+        if any(num):
+            if h == math.inf:
+                raise NonIntegrableTail("right tail must be identically zero")
+            total += _weighted_segment(num, den, h)
     return grid, tuple(out)
 
 
@@ -397,39 +404,19 @@ def crossings(f: PiecewiseFn, tol: float = 0.0) -> list[float]:
     a transition across a zero run is attributed to the start of the
     later signed region.
     """
-    g = _split_at_roots(f)
-    points = list(g.breaks)
+    g, prev, signs = _cell_signs(f, tol)
     out: list[float] = []
-    prev_sign = 0
-
-    def sgn(v: float) -> int:
-        if v > tol:
-            return 1
-        if v < -tol:
-            return -1
-        return 0
-
-    if abs(g.left) > tol:
-        prev_sign = sgn(g.left)
-    for i, b in enumerate(points):
-        hi = points[i + 1] if i + 1 < len(points) else b + 1.0
-        mid = _poly_value(g.coeffs[i], 0.5 * (hi - b))
-        here = sgn(mid) or sgn(_poly_value(g.coeffs[i], 0.0))
-        if here != 0 and prev_sign != 0 and here != prev_sign:
-            out.append(b)
-        if here != 0:
-            prev_sign = here
+    for b, s in zip(g.breaks, signs):
+        if s:
+            if prev and s != prev:
+                out.append(b)
+            prev = s
     return out
 
 
 def first_negative_point(f: PiecewiseFn, tol: float = 0.0) -> float:
     """Infimum of the support of the negative part; +inf when none."""
-    g = _split_at_roots(f)
-    if g.left < -tol:
+    g, sl, signs = _cell_signs(f, tol)
+    if sl < 0:
         return -math.inf
-    for i, b in enumerate(g.breaks):
-        hi = g.breaks[i + 1] if i + 1 < len(g.breaks) else b + 1.0
-        mid = _poly_value(g.coeffs[i], 0.5 * (hi - b))
-        if mid < -tol or _poly_value(g.coeffs[i], 0.0) < -tol:
-            return b
-    return math.inf
+    return next((b for b, s in zip(g.breaks, signs) if s < 0), math.inf)

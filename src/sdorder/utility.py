@@ -27,6 +27,7 @@ from .piecewise import (
     _poly_max,
     _poly_roots,
     _poly_value,
+    common_grid,
     merge_grids,
 )
 
@@ -209,17 +210,14 @@ def _reweighted_slopes(geom: PairGeometry, w: PiecewiseFn, t: float, name: str,
                        slope) -> tuple[list[float], list[float]]:
     """Breaks and slopes left of t: 1 on non-negative cells, slope(w) on
     negative cells, where w must be constant and positive."""
-    grid = merge_grids(geom.grid, w.breaks)
-    wm = w.with_breaks(grid)
-    ng = geom.neg.with_breaks(grid)
+    grid, (ng, wm) = common_grid(geom.neg, w)
     breaks: list[float] = []
     slopes: list[float] = [1.0]
-    for i, b in enumerate(grid):
+    for b, neg, (w0, w1, w2) in zip(grid, ng, wm):
         if b >= t:
             break
         s = 1.0
-        if any(c != 0.0 for c in ng.coeffs[i]):
-            w0, w1, w2 = wm.coeffs[i]
+        if any(neg):
             if w1 != 0.0 or w2 != 0.0:
                 raise NonStepGammaOnNegativeRegion(
                     f"{name} varies on a cell where the difference is negative")
@@ -316,24 +314,15 @@ def _refined_cells(u: UtilityPWL, carrier: PiecewiseFn):
     weight sup over the cell). The weight sup of the last cell is its
     constant value; validated weights level off there.
     """
-    grid = merge_grids(u.breaks, carrier.breaks)
-    w = carrier.with_breaks(grid)
+    grid, (coeffs,) = common_grid(carrier, extra=u.breaks)
     cells = []
-    if not grid:
-        cells.append((-math.inf, math.inf, u.slopes[0], (carrier.left, 0.0, 0.0),
-                      carrier.left))
-        return cells
-    cells.append((-math.inf, grid[0], u.slopes[0], (w.left, 0.0, 0.0), w.left))
-    for i, b in enumerate(grid):
-        s = u.slopes[bisect.bisect_right(u.breaks, b)]
-        coeff = w.coeffs[i]
-        if i + 1 < len(grid):
-            end = grid[i + 1]
-            sup = _poly_value(coeff, end - b)  # monotone carriers peak at the end
-        else:
-            end = math.inf
-            sup = coeff[0]
-        cells.append((b, end, s, coeff, sup))
+    for lo, hi, coeff in zip((-math.inf, *grid), (*grid, math.inf),
+                             ((carrier.left, 0.0, 0.0), *coeffs)):
+        s = u.slopes[bisect.bisect_right(u.breaks, lo)]
+        h = hi - lo
+        # monotone carriers peak at the end, and level off on unbounded cells
+        sup = _poly_value(coeff, h) if h < math.inf else coeff[0]
+        cells.append((lo, hi, s, coeff, sup))
     return cells
 
 
@@ -431,7 +420,9 @@ def combine(terms: list[tuple[float, UtilityPWL]]) -> UtilityPWL:
     for wgt, _ in terms:
         if wgt < 0.0:
             raise ValueError("weights must be non-negative")
-    grid = tuple(sorted(set().union(*(t.breaks for _, t in terms))))
+    grid = ()
+    for _, t in terms:
+        grid = merge_grids(grid, t.breaks)
     slopes = []
     for i in range(len(grid) + 1):
         x = _segment_rep(grid, i)

@@ -1,6 +1,7 @@
 """Command-line front-end: wire formats, exit codes, output shapes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -325,6 +326,77 @@ class TestInputErrors:
                                "--f", spread_files["f"], "--g", spread_files["g"],
                                "--gamma", str(p))
             assert code == 2 and "error:" in err
+
+    def test_later_piece_missing_x(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text('{"kind":"cdf","pieces":[{"x":0,"jump":0.5,"slope_after":0},'
+                     '{"jump":0.5,"slope_after":0}]}')
+        code, _, err = run(capsys, "check", "--order", "fsd",
+                           "--f", str(p), "--g", str(p))
+        assert code == 2
+        assert "error:" in err and "piece 1: missing 'x'" in err
+
+    @pytest.mark.parametrize("kind, field", [
+        ("cdf", "x"), ("cdf", "jump"), ("cdf", "slope_after"), ("cdf", "quad"),
+        ("gamma", "left")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_carrier_numbers(self, spread_files, tmp_path, capsys,
+                                        kind, field, bad):
+        pieces = [{"x": 0.0, "jump": 0.5, "slope_after": 0.0},
+                  {"x": 1.0, "jump": 0.5, "slope_after": 0.0}]
+        obj = {"kind": kind, "pieces": pieces}
+        if field == "left":
+            obj["left"] = bad
+        else:
+            pieces[0][field] = bad
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))   # json writes NaN and Infinity literals
+        if kind == "cdf":
+            argv = ("check", "--order", "fsd", "--f", str(p), "--g", spread_files["g"])
+        else:
+            argv = ("check", "--order", "mfsd", "--f", spread_files["f"],
+                    "--g", spread_files["g"], "--gamma", str(p))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and "not a finite number" in err
+
+    @pytest.mark.parametrize("where", ["anchor_x", "anchor_value", "from", "slope"])
+    def test_non_finite_utility_numbers(self, tmp_path, capsys, where):
+        obj = {"kind": "utility", "anchor": {"x": 0.0, "value": 0.0},
+               "segments": [{"from": "-inf", "slope": 1.0}, {"from": 0.0, "slope": 0.5}]}
+        if where == "anchor_x":
+            obj["anchor"]["x"] = math.nan
+        elif where == "anchor_value":
+            obj["anchor"]["value"] = math.inf
+        else:
+            obj["segments"][1][where] = math.nan
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "greediness", "--u", str(p))
+        assert code == 2 and out == ""
+        assert "error:" in err and "not a finite number" in err
+
+    @pytest.mark.parametrize("order", ["frac", "mfsd", "ffsd"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_gamma_const(self, spread_files, capsys, order, bad):
+        code, out, err = run(capsys, "check", "--order", order,
+                             "--f", spread_files["f"], "--g", spread_files["g"],
+                             "--gamma-const", bad)
+        assert code == 2 and out == ""
+        assert "error: --gamma-const" in err
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_tolerance(self, crossing_files, capsys, monkeypatch, bad):
+        # the pair fails FSD, so a tolerance that swallows everything would
+        # turn it into a hold
+        argv = ("check", "--order", "fsd",
+                "--f", crossing_files["f"], "--g", crossing_files["g"])
+        assert run(capsys, *argv)[0] == 1
+        code, out, err = run(capsys, *argv, "--tol", bad)
+        assert code == 2 and out == "" and "positive and finite" in err
+        monkeypatch.setenv("SDORDER_TOL", bad)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "positive and finite" in err
 
     def test_bad_csv_line(self, tmp_path, capsys):
         p = tmp_path / "s.csv"

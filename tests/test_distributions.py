@@ -124,9 +124,3 @@ def test_convolve_mean_adds_and_mass_sums_to_one(p, q):
     mean_q = sum(x * m for x, m in q.atoms)
     assert mean_c == pytest.approx(mean_p + mean_q, abs=1e-12)
     assert C.atoms[0][0] == p.atoms[0][0] + q.atoms[0][0]
-
-
-def test_module_level_accessors():
-    F = sd.dirac(2.0)
-    assert sd.mean(F) == 2.0
-    assert sd.left_support(F) == 2.0

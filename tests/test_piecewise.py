@@ -12,7 +12,6 @@ from sdorder.piecewise import (
     crossings,
     cum_area,
     cum_area_fn,
-    eval as pw_eval,
     first_negative_point,
     merge_grids,
     signed_parts,
@@ -50,6 +49,40 @@ def probe_points(f: PiecewiseFn) -> list[float]:
     return pts
 
 
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)
+DELTA = 2.0 ** -20
+
+
+@st.composite
+def quadratic_pwl(draw, max_breaks=5):
+    """Degree <= 2 carrier with breaks on the 1/8 grid and coefficients and
+    left tail in quarters from -2 to 2: values at dyadic points are exact,
+    roots inside one piece lie at least 1/8 apart, and the last piece's
+    roots lie within 9 of its start (Cauchy's bound)."""
+    k = draw(st.integers(1, max_breaks))
+    bs = tuple(sorted(draw(st.lists(
+        st.sampled_from(DY), min_size=k, max_size=k, unique=True))))
+    coeffs = tuple(draw(st.tuples(QUARTERS, QUARTERS, QUARTERS)) for _ in bs)
+    return PiecewiseFn(bs, draw(QUARTERS), coeffs)
+
+
+def dense_probes(f: PiecewiseFn, marks=()) -> list[float]:
+    """A 1/256 grid from left of the first break to past every root of the
+    last piece, one far-right point, and each finite mark with points
+    DELTA either side of it."""
+    lo, hi = f.breaks[0] - 1.0, f.breaks[-1] + 10.0
+    pts = {lo + k / 256.0 for k in range(int((hi - lo) * 256) + 1)}
+    pts.add(f.breaks[-1] + 1e3)
+    for x in marks:
+        if math.isfinite(x):
+            pts.update((x - DELTA, x, x + DELTA))
+    return sorted(pts)
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PiecewiseFn((0.0, 0.0), 0.0, ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
@@ -66,7 +99,6 @@ def test_point_evaluation_is_right_continuous():
     assert f.left_limit(0.0) == 0.0
     assert f.left_limit(1.0) == 0.5
     assert f.value(1.0) == 1.0
-    assert pw_eval(f, 0.5) == 0.5
 
 
 def test_local_coordinates_anchor_each_segment():
@@ -155,13 +187,21 @@ def test_compress_constant_collapses_to_left_tail():
     assert g.breaks == () and g.left == 2.0
 
 
-@given(linear_pwl())
-@settings(max_examples=60, deadline=None)
+@given(quadratic_pwl())
+@settings(max_examples=100, deadline=None)
 def test_signed_parts_reassemble(f):
     pos, neg = signed_parts(f)
-    for x in probe_points(f):
+    grid = pos.breaks
+    assert neg.breaks == grid and set(f.breaks) <= set(grid)
+    inside = [grid[0] - 1.0, *((a + b) / 2.0 for a, b in zip(grid, grid[1:])), grid[-1] + 1.0]
+    for x in inside:
         p, n = pos.value(x), neg.value(x)
         assert p >= 0.0 and n >= 0.0
+        assert p - n == pytest.approx(f.value(x), abs=1e-12)
+    for x in grid:
+        # a cell that starts at a root carries that root's rounding
+        p, n = pos.value(x), neg.value(x)
+        assert p >= -1e-12 and n >= -1e-12
         assert p - n == pytest.approx(f.value(x), abs=1e-12)
 
 
@@ -265,3 +305,57 @@ def test_first_negative_point_cases():
     assert first_negative_point(PiecewiseFn.step((0.0,), (0.0, 1.0))) == math.inf
     f = PiecewiseFn.step((0.0, 1.0), (0.0, -0.5, 0.0))
     assert first_negative_point(f) == 0.0
+
+
+def test_unbounded_last_cell_takes_its_far_right_sign():
+    # -x / 100 stays inside a 0.05 band up to x = 5 and leaves it after
+    f = PiecewiseFn((0.0,), 0.0, ((0.0, -0.01, 0.0),))
+    assert first_negative_point(f, tol=0.05) == 0.0
+    assert crossings(PiecewiseFn((0.0,), 1.0, ((0.0, -0.01, 0.0),)), tol=0.05) == [0.0]
+    assert first_negative_point(PiecewiseFn((0.0,), 0.0, ((-0.01, 0.0, 0.0),)), tol=0.05) \
+        == math.inf
+
+
+@given(quadratic_pwl())
+@settings(max_examples=60, deadline=None)
+def test_cells_walk_every_segment(f):
+    cells = list(f.cells())
+    assert [b for b, _, _ in cells] == list(f.breaks)
+    assert [c for _, _, c in cells] == list(f.coeffs)
+    assert [h for _, h, _ in cells] == [b - a for a, b in zip(f.breaks, f.breaks[1:])] + [math.inf]
+    assert list(PiecewiseFn.constant(f.left).cells()) == []
+
+
+@given(quadratic_pwl())
+@settings(max_examples=100, deadline=None)
+def test_first_negative_point_starts_the_first_negative_cell(f):
+    x0 = first_negative_point(f)
+    if f.left < 0.0:
+        assert x0 == -math.inf
+        return
+    assert all(f.value(x) >= 0.0 for x in dense_probes(f, (x0,)) if x < x0)
+    if x0 < math.inf:
+        assert f.value(x0 + DELTA) < 0.0
+        assert x0 in f.breaks or abs(f.value(x0)) <= 1e-12
+
+
+@given(quadratic_pwl())
+@settings(max_examples=100, deadline=None)
+def test_crossings_mark_each_sign_change_at_its_start(f):
+    cs = crossings(f)
+    for c in cs:
+        after = _sign(f.value(c + DELTA))
+        assert after != 0 and _sign(f.value(c - DELTA)) != after
+    # (last point of the old sign, first point of the new one) per change;
+    # zero values sit between regions and change nothing
+    changes = []
+    last_x, last_s = -math.inf, _sign(f.left)
+    for x in dense_probes(f, cs):
+        s = _sign(f.value(x))
+        if s:
+            if last_s and s != last_s:
+                changes.append((last_x, x))
+            last_x, last_s = x, s
+    assert len(cs) == len(changes)
+    # a crossing at a computed root may sit an ulp inside the old region
+    assert all(a <= c <= b for c, (a, b) in zip(cs, changes))
