@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .distributions import Distribution, from_samples
 from .dominance import (
@@ -37,16 +38,12 @@ from .gamma import (
     validate_epsilon,
     validate_gamma,
 )
-from .generators import (
-    example_identical_means,
-    example_local_interpolation,
-    example_squares,
-    example_strict_inclusion,
-    example_theta_family,
-)
-from .oracle import SamplerConfig, agreement_easd, agreement_ffsd, agreement_mfsd
 from .piecewise import DivisionByZeroGamma, PiecewiseFn, _poly_value, merge_grids
-from .utility import UtilityPWL, global_greediness, greediness_profile
+
+# The utility, oracle and generator layers are imported inside the commands
+# that run them, so check, min-gamma and min-epsilon never load them.
+if TYPE_CHECKING:
+    from .utility import UtilityPWL
 
 DEFAULT_TOL = 1e-9
 TOL_ENV = "SDORDER_TOL"
@@ -190,6 +187,8 @@ def load_epsilon(path: str, tol: float) -> EpsilonFn:
 
 
 def load_utility(path: str) -> UtilityPWL:
+    from .utility import UtilityPWL
+
     obj = _load_json(path)
     if obj.get("kind") != "utility":
         raise InputError(f"{path}: expected kind 'utility', got {obj.get('kind')!r}")
@@ -240,49 +239,62 @@ def serialize_utility(u: UtilityPWL) -> str:
 
 
 # ---------------------------------------------------------------- reporting
+#
+# Every report is built as one string and written once to sys.stdout, read
+# at each write because callers redirect it. Numbers print to 12
+# significant digits: "%.12g" in text; in JSON, that rounding read back as
+# a float, or a quoted "inf", "-inf" or "nan".
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _flag(b: bool) -> str:
+    return "true" if b else "false"
 
 
-def _num(x: float | None):
-    if x is None:
-        return None
-    if math.isfinite(x):
-        return float(_fmt(x))
-    return str(x)
+def _json_numbers():
+    """A formatter of numbers as JSON tokens, for one report.
+
+    None is null. Each distinct non-zero finite value is formatted once;
+    zeros skip the memo, because 0.0 == -0.0 would make the two signs
+    share an entry.
+    """
+    memo: dict[float, str] = {}
+
+    def num(x: float | None) -> str:
+        s = memo.get(x)
+        if s is None:
+            if x is None:
+                return "null"
+            if not math.isfinite(x):
+                return f'"{x}"'
+            s = repr(float(f"{x:.12g}"))
+            if x:
+                memo[x] = s
+        return s
+
+    return num
 
 
-def _verdict_obj(v: Verdict) -> dict:
-    return {
-        "order": v.order_tag.value,
-        "holds": v.holds,
-        "witness_t": _num(v.witness_t),
-        "margin": _num(v.margin),
-        "diagnostics": [
-            {"t": _num(t), "lhs": _num(l), "rhs": _num(r)}
-            for t, l, r in v.diagnostics
-        ],
-    }
+def _verdict_json(v: Verdict, num, tail: str = "") -> str:
+    """The verdict as one JSON line; tail adds ', "key": value' members."""
+    diags = ", ".join([f'{{"t": {num(t)}, "lhs": {num(l)}, "rhs": {num(r)}}}'
+                       for t, l, r in v.diagnostics])
+    return (f'{{"order": "{v.order_tag.value}", "holds": {_flag(v.holds)}, '
+            f'"witness_t": {num(v.witness_t)}, "margin": {num(v.margin)}, '
+            f'"diagnostics": [{diags}]{tail}}}\n')
 
 
-def _print_verdict_text(v: Verdict) -> None:
-    print(f"order: {v.order_tag.value}")
-    print(f"holds: {'true' if v.holds else 'false'}")
+def _verdict_text(v: Verdict) -> str:
+    lines = [f"order: {v.order_tag.value}", f"holds: {_flag(v.holds)}"]
     if v.witness_t is not None:
-        print(f"witness_t: {_fmt(v.witness_t)}")
-    print(f"margin: {_fmt(v.margin)}")
-    print("diagnostics:")
-    for t, l, r in v.diagnostics:
-        print(f"  t={_fmt(t)} lhs={_fmt(l)} rhs={_fmt(r)}")
+        lines.append(f"witness_t: {v.witness_t:.12g}")
+    lines += [f"margin: {v.margin:.12g}", "diagnostics:"]
+    lines += [f"  t={t:.12g} lhs={l:.12g} rhs={r:.12g}" for t, l, r in v.diagnostics]
+    return "\n".join(lines) + "\n"
 
 
 def _emit_verdict(v: Verdict, cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
-        print(json.dumps(_verdict_obj(v)))
-    else:
-        _print_verdict_text(v)
+    json_out = cfg.fmt == "json"
+    sys.stdout.write(_verdict_json(v, _json_numbers()) if json_out else _verdict_text(v))
     return 0 if v.holds else 1
 
 
@@ -347,30 +359,28 @@ def cmd_min_gamma(args, cfg: RunConfig) -> int:
         g = min_gamma(F, G, tol=tol)
     except NotSSDOrdered as e:
         if cfg.fmt == "json":
-            print(json.dumps({"error": "NotSSDOrdered", "ratio": _num(e.ratio)}))
+            out = f'{{"error": "NotSSDOrdered", "ratio": {_json_numbers()(e.ratio)}}}\n'
+        elif e.ratio is not None:
+            out = f"NotSSDOrdered: deficit exceeds surplus (ratio {e.ratio:.12g})\n"
         else:
-            print(f"NotSSDOrdered: deficit exceeds surplus (ratio {_fmt(e.ratio)})"
-                  if e.ratio is not None else "NotSSDOrdered")
+            out = "NotSSDOrdered\n"
+        sys.stdout.write(out)
         return 1
+    pieces = _carrier_to_pieces(g.carrier, "gamma")
     series = _gamma_series(g)
     if cfg.fmt == "json":
-        print(json.dumps({
-            "gamma": _carrier_to_pieces(g.carrier, "gamma"),
-            "lower": _num(g.lower),
-            "upper": _num(g.upper),
-            "series": [[t, v] for t, v in series],
-        }))
-    else:
-        obj = _carrier_to_pieces(g.carrier, "gamma")
-        print("pieces:")
-        for p in obj["pieces"]:
-            extra = f" quad={_fmt(p['quad'])}" if "quad" in p else ""
-            print(f"  x={_fmt(p['x'])} jump={_fmt(p['jump'])}"
-                  f" slope_after={_fmt(p['slope_after'])}{extra}")
-        print(f"upper: {_fmt(g.upper)}")
-        print("series:")
-        for t, v in series:
-            print(f"  {_fmt(t)},{_fmt(v)}")
+        num = _json_numbers()
+        sys.stdout.write(f'{{"gamma": {json.dumps(pieces)}, "lower": {num(g.lower)}, '
+                         f'"upper": {num(g.upper)}, "series": {json.dumps(series)}}}\n')
+        return 0
+    lines = ["pieces:"]
+    for p in pieces["pieces"]:
+        extra = f" quad={p['quad']:.12g}" if "quad" in p else ""
+        lines.append(f"  x={p['x']:.12g} jump={p['jump']:.12g}"
+                     f" slope_after={p['slope_after']:.12g}{extra}")
+    lines += [f"upper: {g.upper:.12g}", "series:"]
+    lines += [f"  {t:.12g},{v:.12g}" for t, v in series]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -379,39 +389,39 @@ def cmd_min_epsilon(args, cfg: RunConfig) -> int:
     F = load_distribution(args.f, tol)
     G = load_distribution(args.g, tol)
     r = min_constant_epsilon(F, G, tol=tol)
+    num = _json_numbers()
     if isinstance(r, Infeasible):
-        if cfg.fmt == "json":
-            print(json.dumps({"infeasible": True, "value": _num(r.value)}))
-        else:
-            print(f"infeasible: no epsilon below 1/2 works (ratio {_fmt(r.value)})")
+        sys.stdout.write(f'{{"infeasible": true, "value": {num(r.value)}}}\n'
+                         if cfg.fmt == "json" else
+                         f"infeasible: no epsilon below 1/2 works (ratio {r.value:.12g})\n")
         return 1
-    if cfg.fmt == "json":
-        print(json.dumps({"epsilon": _num(r)}))
-    else:
-        print(f"epsilon: {_fmt(r)}")
+    sys.stdout.write(f'{{"epsilon": {num(r)}}}\n' if cfg.fmt == "json"
+                     else f"epsilon: {r:.12g}\n")
     return 0
 
 
 def cmd_greediness(args, cfg: RunConfig) -> int:
+    from .utility import global_greediness, greediness_profile
+
     u = load_utility(args.u)
     prof = greediness_profile(u)
     g = global_greediness(u)
     if cfg.fmt == "json":
-        print(json.dumps({
-            "global": _num(g),
-            "breaks": list(prof.breaks),
-            "values": [_num(v) for v in prof.values],
-        }))
-    else:
-        print(f"global: {_fmt(g)}")
-        print("profile:")
-        lo = ["-inf"] + [_fmt(b) for b in prof.breaks]
-        for start, v in zip(lo, prof.values):
-            print(f"  from={start} value={_fmt(v)}")
+        num = _json_numbers()
+        values = ", ".join([num(v) for v in prof.values])
+        sys.stdout.write(f'{{"global": {num(g)}, "breaks": {json.dumps(list(prof.breaks))}, '
+                         f'"values": [{values}]}}\n')
+        return 0
+    lo = ["-inf"] + [f"{b:.12g}" for b in prof.breaks]
+    lines = [f"global: {g:.12g}", "profile:"]
+    lines += [f"  from={start} value={v:.12g}" for start, v in zip(lo, prof.values)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
+    from .oracle import SamplerConfig, agreement_easd, agreement_ffsd, agreement_mfsd
+
     tol = cfg.tolerance
     F = load_distribution(args.f, tol)
     G = load_distribution(args.g, tol)
@@ -427,26 +437,31 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
             raise InputError("easd needs --epsilon FILE")
         rep = agreement_easd(F, G, load_epsilon(args.epsilon, tol), scfg, tol=tol)
     if cfg.fmt == "json":
-        obj = _verdict_obj(rep.verdict)
-        obj.update({
-            "agree": rep.agree,
-            "samples": rep.count,
-            "min_gap": _num(rep.min_gap),
-            "violating": _utility_obj(rep.violating) if rep.violating else None,
-            "note": rep.summary(),
-        })
-        print(json.dumps(obj))
+        num = _json_numbers()
+        violating = json.dumps(_utility_obj(rep.violating)) if rep.violating else "null"
+        sys.stdout.write(_verdict_json(rep.verdict, num, (
+            f', "agree": {_flag(rep.agree)}, "samples": {json.dumps(rep.count)}, '
+            f'"min_gap": {num(rep.min_gap)}, "violating": {violating}, '
+            f'"note": {json.dumps(rep.summary())}')))
     else:
-        print(f"order: {rep.verdict.order_tag.value}")
-        print(f"holds: {'true' if rep.verdict.holds else 'false'}")
-        print(f"agree: {'true' if rep.agree else 'false'}")
-        print(f"samples: {rep.count}")
-        print(f"min_gap: {_fmt(rep.min_gap)}")
-        print(f"note: {rep.summary()}")
+        sys.stdout.write(f"order: {rep.verdict.order_tag.value}\n"
+                         f"holds: {_flag(rep.verdict.holds)}\n"
+                         f"agree: {_flag(rep.agree)}\n"
+                         f"samples: {rep.count}\n"
+                         f"min_gap: {rep.min_gap:.12g}\n"
+                         f"note: {rep.summary()}\n")
     return 0 if rep.agree else 1
 
 
 def cmd_generate(args, cfg: RunConfig) -> int:
+    from .generators import (
+        example_identical_means,
+        example_local_interpolation,
+        example_squares,
+        example_strict_inclusion,
+        example_theta_family,
+    )
+
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -102,9 +102,9 @@ def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
     cands: list[_Cand] = []
-    for b in grid:
-        cands.append((b, G.carrier.value(b), F.carrier.value(b), True))
-        cands.append((b, G.carrier.left_limit(b), F.carrier.left_limit(b), False))
+    for b, (gv, gl), (fv, fl) in zip(grid, G.carrier._values_on(grid),
+                                     F.carrier._values_on(grid)):
+        cands += ((b, gv, fv, True), (b, gl, fl, False))
     return _settle(OrderTag.FSD, cands, tol)
 
 

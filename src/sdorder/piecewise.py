@@ -106,9 +106,9 @@ class PiecewiseFn:
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        b = self.breaks
+        if not all(map(operator.lt, b, b[1:])):  # NaN breaks fail too
+            raise ValueError("breakpoints must be strictly increasing")
 
     # -- point evaluation -------------------------------------------------
 
@@ -180,6 +180,23 @@ class PiecewiseFn:
             else:
                 coeffs.append(_poly_shift(self.coeffs[i], b - own[i]))
         return tuple(coeffs)
+
+    def _values_on(self, grid: tuple[float, ...]) -> list[tuple[float, float]]:
+        """(value, left limit) at every point of grid, a superset of
+        breaks, in one forward walk. Each is the polynomial and offset
+        that value and left_limit evaluate, so the numbers are the same."""
+        own, coeffs, n = self.breaks, self.coeffs, len(self.breaks)
+        out = []
+        i = -1
+        for b in grid:
+            if i + 1 < n and own[i + 1] == b:
+                lim = self.left if i < 0 else _poly_value(coeffs[i], b - own[i])
+                i += 1
+                out.append((_poly_value(coeffs[i], b - own[i]), lim))
+            else:
+                v = self.left if i < 0 else _poly_value(coeffs[i], b - own[i])
+                out.append((v, v))
+        return out
 
     def shift(self, c: float) -> "PiecewiseFn":
         return PiecewiseFn(tuple(b + c for b in self.breaks), self.left, self.coeffs)
@@ -276,9 +293,19 @@ def compress(f: PiecewiseFn) -> PiecewiseFn:
 
 
 def _split_at_roots(f: PiecewiseFn) -> PiecewiseFn:
-    """Refine so that every segment has constant sign in its interior."""
-    cuts = tuple(b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h))
-    return f.with_breaks(cuts) if cuts else f
+    """Refine so that every segment has constant sign in its interior.
+
+    A cell that starts at a cut starts at a root, so its constant is set
+    to exactly 0 there: re-anchoring would keep the root's rounding.
+    """
+    cuts = {b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h)}
+    cuts.difference_update(f.breaks)
+    if not cuts:
+        return f
+    grid = merge_grids(f.breaks, tuple(sorted(cuts)))
+    coeffs = tuple((0.0, c[1], c[2]) if b in cuts else c
+                   for b, c in zip(grid, f._coeffs_on(grid)))
+    return PiecewiseFn(grid, f.left, coeffs)
 
 
 def _cell_signs(f: PiecewiseFn, tol: float = 0.0) -> tuple[PiecewiseFn, int, list[int]]:

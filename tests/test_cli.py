@@ -1,5 +1,6 @@
 """Command-line front-end: wire formats, exit codes, output shapes."""
 
+import io
 import json
 import math
 import os
@@ -14,7 +15,9 @@ import pytest
 import sdorder as sd
 from sdorder.cli import (
     _carrier_to_pieces,
+    _gamma_series,
     _pieces_to_carrier,
+    _utility_obj,
     load_distribution,
     load_gamma,
     load_utility,
@@ -487,6 +490,194 @@ class TestWireRoundTrips:
                            "--f", spread_files["f"], "--g", spread_files["g"],
                            "--gamma", str(gam))
         assert code == 0 and "holds: true" in out
+
+
+# Reference report formatter, written number by number: one print per line
+# with "%.12g", and json.dumps of per-row dicts through float("%.12g").
+# Every report must print exactly its bytes.
+
+
+def _ref_num(x):
+    if x is None:
+        return None
+    return float(f"{x:.12g}") if math.isfinite(x) else str(x)
+
+
+def _ref_print(*lines):
+    buf = io.StringIO()
+    for line in lines:
+        print(line, file=buf)
+    return buf.getvalue()
+
+
+def _ref_verdict_obj(v):
+    return {
+        "order": v.order_tag.value,
+        "holds": v.holds,
+        "witness_t": _ref_num(v.witness_t),
+        "margin": _ref_num(v.margin),
+        "diagnostics": [{"t": _ref_num(t), "lhs": _ref_num(l), "rhs": _ref_num(r)}
+                        for t, l, r in v.diagnostics],
+    }
+
+
+def _ref_verdict(v, fmt):
+    if fmt == "json":
+        return _ref_print(json.dumps(_ref_verdict_obj(v)))
+    lines = [f"order: {v.order_tag.value}", f"holds: {'true' if v.holds else 'false'}"]
+    if v.witness_t is not None:
+        lines.append(f"witness_t: {v.witness_t:.12g}")
+    lines += [f"margin: {v.margin:.12g}", "diagnostics:"]
+    lines += [f"  t={t:.12g} lhs={l:.12g} rhs={r:.12g}" for t, l, r in v.diagnostics]
+    return _ref_print(*lines)
+
+
+@pytest.fixture()
+def zero_pair(tmp_path):
+    """A pair whose diagnostics hold -0.0 (a sample) and 0.0 (a CDF value),
+    and repeat values; EASD on it reports a row at t = inf."""
+    f, g, eps = tmp_path / "f.csv", tmp_path / "g.csv", tmp_path / "eps.json"
+    f.write_text("-0.0\n1\n1\n2\n")
+    g.write_text("0.5\n1.5\n1.5\n")
+    eps.write_text(serialize_epsilon(sd.EpsilonFn.const(0.375)))
+    return str(f), str(g), str(eps)
+
+
+class TestReportBytes:
+    def test_inputs_hold_both_zero_signs_and_inf(self, zero_pair):
+        F, G = (load_distribution(p, 1e-9) for p in zero_pair[:2])
+        numbers = [x for row in sd.check_fsd(F, G).diagnostics for x in row]
+        assert any(x == 0.0 and math.copysign(1.0, x) < 0 for x in numbers)
+        assert any(x == 0.0 and math.copysign(1.0, x) > 0 for x in numbers)
+        assert len(set(numbers)) < len(numbers)
+        eps = sd.EpsilonFn.const(0.375)
+        assert sd.check_easd(F, G, eps).diagnostics[0][0] == math.inf
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("order", ["fsd", "ssd", "frac", "mfsd", "easd"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["FG", "GF"])
+    def test_check(self, zero_pair, capsys, order, fmt, swap):
+        f, g, eps = zero_pair
+        if swap:
+            f, g = g, f
+        F, G = load_distribution(f, 1e-9), load_distribution(g, 1e-9)
+        extra, v = {
+            "fsd": ([], lambda: sd.check_fsd(F, G)),
+            "ssd": ([], lambda: sd.check_ssd(F, G)),
+            "frac": (["--gamma-const", "0.5"], lambda: sd.check_fractional(F, G, 0.5)),
+            "mfsd": (["--gamma-const", "0.75"],
+                     lambda: sd.check_mfsd(F, G, sd.GammaFn.const(0.75))),
+            "easd": (["--epsilon", eps],
+                     lambda: sd.check_easd(F, G, sd.EpsilonFn.const(0.375))),
+        }[order]
+        v = v()
+        code, out, _ = run(capsys, "check", "--order", order, "--f", f, "--g", g,
+                           *extra, "--format", fmt)
+        assert code == (0 if v.holds else 1)
+        assert out == _ref_verdict(v, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["FG", "GF"])
+    def test_min_gamma(self, zero_pair, capsys, fmt, swap):
+        f, g, _ = zero_pair
+        if swap:
+            f, g = g, f
+        F, G = load_distribution(f, 1e-9), load_distribution(g, 1e-9)
+        code, out, _ = run(capsys, "min-gamma", "--f", f, "--g", g, "--format", fmt)
+        try:
+            gam = sd.min_gamma(F, G)
+        except sd.NotSSDOrdered as e:
+            assert code == 1
+            assert out == (_ref_print(json.dumps({"error": "NotSSDOrdered",
+                                                  "ratio": _ref_num(e.ratio)}))
+                           if fmt == "json" else _ref_print(
+                               f"NotSSDOrdered: deficit exceeds surplus (ratio {e.ratio:.12g})"))
+            return
+        assert code == 0
+        obj = _carrier_to_pieces(gam.carrier, "gamma")
+        series = _gamma_series(gam)
+        if fmt == "json":
+            assert out == _ref_print(json.dumps({
+                "gamma": obj, "lower": _ref_num(gam.lower), "upper": _ref_num(gam.upper),
+                "series": [[t, v] for t, v in series]}))
+            return
+        lines = ["pieces:"]
+        for p in obj["pieces"]:
+            extra = f" quad={p['quad']:.12g}" if "quad" in p else ""
+            lines.append(f"  x={p['x']:.12g} jump={p['jump']:.12g}"
+                         f" slope_after={p['slope_after']:.12g}{extra}")
+        lines += [f"upper: {gam.upper:.12g}", "series:"]
+        lines += [f"  {t:.12g},{v:.12g}" for t, v in series]
+        assert out == _ref_print(*lines)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["FG", "GF"])
+    def test_min_epsilon(self, zero_pair, capsys, fmt, swap):
+        f, g, _ = zero_pair
+        if swap:
+            f, g = g, f
+        F, G = load_distribution(f, 1e-9), load_distribution(g, 1e-9)
+        r = sd.min_constant_epsilon(F, G)
+        code, out, _ = run(capsys, "min-epsilon", "--f", f, "--g", g, "--format", fmt)
+        if isinstance(r, sd.Infeasible):
+            assert code == 1
+            assert out == (_ref_print(json.dumps({"infeasible": True,
+                                                  "value": _ref_num(r.value)}))
+                           if fmt == "json" else _ref_print(
+                               f"infeasible: no epsilon below 1/2 works (ratio {r.value:.12g})"))
+        else:
+            assert code == 0
+            assert out == (_ref_print(json.dumps({"epsilon": _ref_num(r)}))
+                           if fmt == "json" else _ref_print(f"epsilon: {r:.12g}"))
+
+    @pytest.mark.parametrize("case", ["mfsd-fails", "mfsd-holds", "easd"])
+    def test_oracle_json(self, spread_files, zero_pair, capsys, case):
+        if case == "easd":
+            f, g, eps = zero_pair
+            argv = ["--epsilon", eps]
+        else:
+            f, g = spread_files["f"], spread_files["g"]
+            argv = (["--gamma-const", "0.9"] if case == "mfsd-fails"
+                    else ["--gamma", spread_files["gamma"]])
+        F, G = load_distribution(f, 1e-9), load_distribution(g, 1e-9)
+        grid = sorted(set(F.carrier.breaks) | set(G.carrier.breaks))
+        scfg = sd.SamplerConfig(t_grid=(*grid, grid[-1] + 1.0), seed=3, count=20)
+        if case == "easd":
+            rep = sd.agreement_easd(F, G, sd.EpsilonFn.const(0.375), scfg)
+        else:
+            gam = (sd.GammaFn.const(0.9) if case == "mfsd-fails"
+                   else load_gamma(spread_files["gamma"], 1e-9))
+            rep = sd.agreement_mfsd(F, G, gam, scfg)
+        code, out, _ = run(capsys, "oracle", "--order", case[:4], "--f", f, "--g", g,
+                           *argv, "--seed", "3", "--samples", "20", "--format", "json")
+        assert code == (0 if rep.agree else 1)
+        obj = _ref_verdict_obj(rep.verdict)
+        obj.update({
+            "agree": rep.agree,
+            "samples": rep.count,
+            "min_gap": _ref_num(rep.min_gap),
+            "violating": _utility_obj(rep.violating) if rep.violating else None,
+            "note": rep.summary(),
+        })
+        assert out == _ref_print(json.dumps(obj))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_greediness(self, tmp_path, capsys, fmt):
+        u = sd.UtilityPWL((-2.0, -1.0, -0.0, 0.5), (1.0, 2.0, 0.8, 1.0, 1.0))
+        path = tmp_path / "u.json"
+        path.write_text(serialize_utility(u))
+        prof, g = sd.greediness_profile(u), sd.global_greediness(u)
+        code, out, _ = run(capsys, "greediness", "--u", str(path), "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert out == _ref_print(json.dumps({
+                "global": _ref_num(g), "breaks": list(prof.breaks),
+                "values": [_ref_num(v) for v in prof.values]}))
+            return
+        lo = ["-inf"] + [f"{b:.12g}" for b in prof.breaks]
+        assert out == _ref_print(f"global: {g:.12g}", "profile:",
+                                 *(f"  from={s} value={v:.12g}"
+                                   for s, v in zip(lo, prof.values)))
 
 
 def _source_env():

@@ -1,0 +1,51 @@
+"""Import boundary: deciding loads only the decider layers; the package
+still exports every name it lists."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sdorder
+
+LAZY_MODULES = ("sdorder.oracle", "sdorder.utility", "sdorder.generators", "fractions")
+
+
+def test_cli_import_loads_no_lazy_layer():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sdorder.__file__).resolve().parent.parent)
+    code = ("import sys, sdorder.cli; "
+            f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []
+
+
+def test_every_exported_name_resolves():
+    for name in sdorder.__all__:
+        assert getattr(sdorder, name) is not None, name
+
+
+def test_star_import_binds_all():
+    ns: dict = {}
+    exec("from sdorder import *", ns)
+    assert set(sdorder.__all__) <= set(ns)
+
+
+def test_dir_lists_all():
+    assert set(sdorder.__all__) <= set(dir(sdorder))
+
+
+def test_lazy_name_is_the_module_attribute():
+    from sdorder import oracle, utility
+
+    assert sdorder.agreement_mfsd is oracle.agreement_mfsd
+    assert sdorder.UtilityPWL is utility.UtilityPWL
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sdorder.no_such_name  # noqa: B018

@@ -92,6 +92,16 @@ def test_validation_rejects_bad_shapes():
         PiecewiseFn((0.0,), 0.0, ())
 
 
+@pytest.mark.parametrize("breaks", [
+    (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, math.nan), (math.nan, 0.0),
+    (-1.0, math.nan, 1.0),
+], ids=["equal", "decreasing", "equal-last", "nan-last", "nan-first", "nan-middle"])
+def test_breaks_must_strictly_increase(breaks):
+    coeffs = ((1.0, 0.0, 0.0),) * len(breaks)
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+        PiecewiseFn(breaks, 0.0, coeffs)
+
+
 def test_point_evaluation_is_right_continuous():
     f = PiecewiseFn.step((0.0, 1.0), (0.0, 0.5, 1.0))
     assert f.value(-0.01) == 0.0
@@ -199,9 +209,9 @@ def test_signed_parts_reassemble(f):
         assert p >= 0.0 and n >= 0.0
         assert p - n == pytest.approx(f.value(x), abs=1e-12)
     for x in grid:
-        # a cell that starts at a root carries that root's rounding
+        # a cell that starts at a computed root starts at exactly 0
         p, n = pos.value(x), neg.value(x)
-        assert p >= -1e-12 and n >= -1e-12
+        assert p >= 0.0 and n >= 0.0
         assert p - n == pytest.approx(f.value(x), abs=1e-12)
 
 

@@ -32,6 +32,13 @@ class TestUtilityPWL:
         with pytest.raises(ValueError):
             sd.UtilityPWL((0.0,), (1.0, -0.5))
 
+    @pytest.mark.parametrize("breaks", [(0.0, 0.0), (1.0, 0.0), (0.0, math.nan),
+                                        (math.nan, 0.0)],
+                             ids=["equal", "decreasing", "nan-last", "nan-first"])
+    def test_breaks_must_strictly_increase(self, breaks):
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            sd.UtilityPWL(breaks, (1.0,) * (len(breaks) + 1))
+
     def test_value_integrates_slopes_from_anchor(self):
         u = sd.UtilityPWL((0.0, 1.0), (2.0, 1.0, 0.0), anchor=(0.0, 5.0))
         assert u.value(0.0) == 5.0
