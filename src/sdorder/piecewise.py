@@ -106,9 +106,9 @@ class PiecewiseFn:
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        b = self.breaks
-        if not all(map(operator.lt, b, b[1:])):  # NaN breaks fail too
-            raise ValueError("breakpoints must be strictly increasing")
+        for a, b in zip(self.breaks, self.breaks[1:]):
+            if not a < b:
+                raise ValueError("breakpoints must be strictly increasing")
 
     # -- point evaluation -------------------------------------------------
 
@@ -299,7 +299,8 @@ def _split_at_roots(f: PiecewiseFn) -> PiecewiseFn:
     to exactly 0 there: re-anchoring would keep the root's rounding.
     """
     cuts = {b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h)}
-    cuts.difference_update(f.breaks)
+    if cuts:
+        cuts.difference_update(f.breaks)  # a root may round onto a break
     if not cuts:
         return f
     grid = merge_grids(f.breaks, tuple(sorted(cuts)))

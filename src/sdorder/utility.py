@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -86,9 +85,9 @@ class UtilityPWL:
     def __post_init__(self) -> None:
         if len(self.slopes) != len(self.breaks) + 1:
             raise ValueError("need exactly one more slope than breakpoints")
-        b = self.breaks
-        if not all(map(operator.lt, b, b[1:])):  # NaN breaks fail too
-            raise ValueError("breakpoints must be strictly increasing")
+        for a, b in zip(self.breaks, self.breaks[1:]):
+            if not a < b:
+                raise ValueError("breakpoints must be strictly increasing")
         for s in self.slopes:
             if s < 0.0:
                 raise ValueError("slopes must be non-negative")

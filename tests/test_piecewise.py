@@ -149,6 +149,15 @@ def test_refinement_preserves_values(f):
     assert f.with_breaks(f.breaks[::2]) is f
 
 
+@given(quadratic_pwl(), st.lists(st.sampled_from(DY), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_values_on_a_grid_match_point_evaluation(f, extra):
+    grid = merge_grids(f.breaks, tuple(sorted(set(extra))))
+    # the same numbers, bit for bit, as value and left_limit at each point
+    assert ([tuple(map(repr, p)) for p in f._values_on(grid)]
+            == [(repr(f.value(b)), repr(f.left_limit(b))) for b in grid])
+
+
 def test_merge_grids_is_the_sorted_union():
     assert merge_grids((0.0, 1.0, 2.0), (1.0, 1.5, 3.0)) == (0.0, 1.0, 1.5, 2.0, 3.0)
     assert merge_grids((), (1.0,)) == (1.0,)
