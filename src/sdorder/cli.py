@@ -312,10 +312,16 @@ def _resolve_gamma(args, tol: float) -> GammaFn:
     raise InputError("this order needs --gamma FILE or --gamma-const VALUE")
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
-    F = load_distribution(args.f, tol)
-    G = load_distribution(args.g, tol)
+def _on_pair(args, tol: float, decide):
+    """decide(F, G) on the loaded pair, returned after F and G are gone.
+
+    The library keeps a pair's geometry only while both distributions
+    live, so a command that prints after this returns prints without it.
+    """
+    return decide(load_distribution(args.f, tol), load_distribution(args.g, tol))
+
+
+def _check(args, tol: float, F: Distribution, G: Distribution) -> Verdict:
     order = args.order
     if order == "fsd":
         v = check_fsd(F, G, tol=tol)
@@ -336,7 +342,12 @@ def cmd_check(args, cfg: RunConfig) -> int:
         if not args.epsilon:
             raise InputError("easd needs --epsilon FILE")
         v = check_easd(F, G, load_epsilon(args.epsilon, tol), tol=tol)
-    return _emit_verdict(v, cfg)
+    return v
+
+
+def cmd_check(args, cfg: RunConfig) -> int:
+    tol = cfg.tolerance
+    return _emit_verdict(_on_pair(args, tol, lambda F, G: _check(args, tol, F, G)), cfg)
 
 
 def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:
@@ -353,10 +364,8 @@ def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:
 
 def cmd_min_gamma(args, cfg: RunConfig) -> int:
     tol = cfg.tolerance
-    F = load_distribution(args.f, tol)
-    G = load_distribution(args.g, tol)
     try:
-        g = min_gamma(F, G, tol=tol)
+        g = _on_pair(args, tol, lambda F, G: min_gamma(F, G, tol=tol))
     except NotSSDOrdered as e:
         if cfg.fmt == "json":
             out = f'{{"error": "NotSSDOrdered", "ratio": {_json_numbers()(e.ratio)}}}\n'
@@ -386,9 +395,7 @@ def cmd_min_gamma(args, cfg: RunConfig) -> int:
 
 def cmd_min_epsilon(args, cfg: RunConfig) -> int:
     tol = cfg.tolerance
-    F = load_distribution(args.f, tol)
-    G = load_distribution(args.g, tol)
-    r = min_constant_epsilon(F, G, tol=tol)
+    r = _on_pair(args, tol, lambda F, G: min_constant_epsilon(F, G, tol=tol))
     num = _json_numbers()
     if isinstance(r, Infeasible):
         sys.stdout.write(f'{{"infeasible": true, "value": {num(r.value)}}}\n'

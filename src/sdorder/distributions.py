@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .piecewise import PiecewiseFn, _poly_value
+from .piecewise import PiecewiseFn, _not_finite, _poly_value
 
 
 class EmptyInput(ValueError):
@@ -22,6 +22,15 @@ class EmptyInput(ValueError):
 
 class WeightMismatch(ValueError):
     """Mixture weights must pair up with components and sum to one."""
+
+
+class ShiftCollapse(ValueError):
+    """A shift rounded two breakpoints of a CDF onto each other."""
+
+    def __init__(self, shift: float, a: float, b: float):
+        self.shift, self.a, self.b = shift, a, b
+        super().__init__(f"shifting by {shift!r} collapses the breakpoints {a!r} "
+                         f"and {b!r} onto {a + shift!r} and {b + shift!r}")
 
 
 def _left_support(carrier: PiecewiseFn) -> float:
@@ -72,7 +81,9 @@ class Distribution:
         if c1 != 0.0 or abs(c0 - 1.0) > tol:
             raise ValueError("a CDF must reach 1 at its last breakpoint and stay there")
         prev = carrier.left
-        for _, h, c in carrier.cells():
+        for b, h, c in carrier.cells():
+            if not (math.isfinite(b) and math.isfinite(c[0]) and math.isfinite(c[1])):
+                raise _not_finite("CDF", breakpoint=b, value=c[0], slope=c[1])
             if c[0] - prev < -tol:
                 raise ValueError("a CDF cannot jump downward")
             if c[1] < -tol:
@@ -96,6 +107,8 @@ class DiscretePMF:
         total = 0.0
         prev = -math.inf
         for x, m in self.atoms:
+            if not (math.isfinite(x) and math.isfinite(m)):
+                raise _not_finite("atom", location=x, mass=m)
             if not x > prev:
                 raise ValueError("atom locations must be strictly increasing")
             if m <= 0.0:
@@ -141,10 +154,22 @@ def dirac(a: float) -> Distribution:
 
 
 def shift(F: Distribution, c: float) -> Distribution:
-    """Translate the underlying variable by c: CDF x -> F(x - c)."""
+    """Translate the underlying variable by c: CDF x -> F(x - c).
+
+    Raises ShiftCollapse when rounding makes two breakpoints equal, as a
+    shift far larger than their spacing does.
+    """
     if c == 0.0:
         return F
-    return Distribution(F.carrier.shift(c), F.mean + c, F.left_support + c)
+    if not math.isfinite(c):
+        raise _not_finite("shift", amount=c)
+    try:
+        carrier = F.carrier.shift(c)
+    except ValueError:
+        bs = F.carrier.breaks
+        a, b = next((a, b) for a, b in zip(bs, bs[1:]) if not a + c < b + c)
+        raise ShiftCollapse(c, a, b) from None
+    return Distribution(carrier, F.mean + c, F.left_support + c)
 
 
 def mixture(components: list[Distribution], weights: list[float],
@@ -152,8 +177,8 @@ def mixture(components: list[Distribution], weights: list[float],
     """Convex combination of CDFs."""
     if not components or len(components) != len(weights):
         raise WeightMismatch("need one weight per component")
-    if any(w < 0.0 for w in weights):
-        raise WeightMismatch("weights must be non-negative")
+    if any(not 0.0 <= w < math.inf for w in weights):
+        raise WeightMismatch("weights must be finite and non-negative")
     if abs(sum(weights) - 1.0) > tol:
         raise WeightMismatch("weights must sum to 1")
     carrier = components[0].carrier.scale(weights[0])

@@ -26,7 +26,7 @@ from .gamma import (
     validate_epsilon,
     validate_gamma,
 )
-from .geometry import PairGeometry, pair_geometry
+from .geometry import pair_geometry
 from .piecewise import (
     PiecewiseFn,
     _poly_value,
@@ -141,15 +141,16 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
     return cands
 
 
-def _graded(tag: OrderTag, geom: PairGeometry, gamma: PiecewiseFn,
+def _graded(tag: OrderTag, F: Distribution, G: Distribution, gamma: PiecewiseFn,
             tol: float) -> Verdict:
     """Settle deficit(t) <= gamma(t) * surplus(t) over every t."""
+    geom = pair_geometry(F, G)
     return _settle(tag, _weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
 
 
 def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """Second order: cumulative surplus covers cumulative deficit at every t."""
-    return _graded(OrderTag.SSD, pair_geometry(F, G), PiecewiseFn.constant(1.0), tol)
+    return _graded(OrderTag.SSD, F, G, PiecewiseFn.constant(1.0), tol)
 
 
 def check_fractional(F: Distribution, G: Distribution, gamma: float,
@@ -157,22 +158,14 @@ def check_fractional(F: Distribution, G: Distribution, gamma: float,
     """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t."""
     if not 0.0 <= gamma <= 1.0:
         raise GammaOutOfRange("constant gamma must lie in [0, 1]")
-    return _graded(OrderTag.FRAC, pair_geometry(F, G), PiecewiseFn.constant(gamma), tol)
+    return _graded(OrderTag.FRAC, F, G, PiecewiseFn.constant(gamma), tol)
 
 
 def check_mfsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
                tol: float = 1e-9) -> Verdict:
     """Graded order: deficit(t) <= gamma(t) * surplus(t) for all t."""
     gf = validate_gamma(g)
-    return _graded(OrderTag.MFSD, pair_geometry(F, G), gf.carrier, tol)
-
-
-def _ffsd(geom: PairGeometry, gf: GammaFn, tol: float) -> Verdict:
-    grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
-    cands = [(t, w, geom.Ap.value(t), True) for t, w in zip(grid, weighted)]
-    # beyond the last break both sides are frozen, so the final node
-    # already carries the t -> infinity comparison
-    return _settle(OrderTag.FFSD, cands, tol)
+    return _graded(OrderTag.MFSD, F, G, gf.carrier, tol)
 
 
 def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
@@ -184,16 +177,12 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     DivisionByZeroGamma.
     """
     gf = validate_gamma(g)
-    return _ffsd(pair_geometry(F, G), gf, tol)
-
-
-def _easd(geom: PairGeometry, ef: EpsilonFn, tol: float) -> Verdict:
-    _, weighted = weighted_area_fn_values(geom.neg, ef.carrier)
-    lhs = weighted[-1] if weighted else 0.0
-    rhs = geom.surplus + geom.deficit
-    margin = rhs - lhs
-    return Verdict(margin >= -tol, None, margin, OrderTag.EASD,
-                   ((math.inf, lhs, rhs),))
+    geom = pair_geometry(F, G)
+    grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
+    cands = [(t, w, geom.Ap.value(t), True) for t, w in zip(grid, weighted)]
+    # beyond the last break both sides are frozen, so the final node
+    # already carries the t -> infinity comparison
+    return _settle(OrderTag.FFSD, cands, tol)
 
 
 def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
@@ -201,4 +190,10 @@ def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
     """Single-inequality order: the 1/epsilon-inflated total deficit must
     not exceed the total variation between the CDFs."""
     ef = validate_epsilon(e)
-    return _easd(pair_geometry(F, G), ef, tol)
+    geom = pair_geometry(F, G)
+    _, weighted = weighted_area_fn_values(geom.neg, ef.carrier)
+    lhs = weighted[-1] if weighted else 0.0
+    rhs = geom.surplus + geom.deficit
+    margin = rhs - lhs
+    return Verdict(margin >= -tol, None, margin, OrderTag.EASD,
+                   ((math.inf, lhs, rhs),))

@@ -1,11 +1,15 @@
 """The geometry of a pair (F, G): F - G and its cumulative surplus and
-deficit, which every order compares. A call builds it once and hands it
-to each decider, witness, gap and oracle step instead of differencing
-the pair per step.
+deficit, which every order compares. `pair_geometry` keeps the geometry
+of the last pair it was asked for, so successive calls on the same F and
+G objects, in either order, difference the pair once and share every
+view built since.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +25,8 @@ def total_area_from_cum(cum: PiecewiseFn) -> float:
 @dataclass(frozen=True)
 class PairGeometry:
     """F - G, its sign-pure parts and their cumulative areas. diff, pos
-    and neg are built with the object; every other view on first use."""
+    and neg are built with the object; every other view on first use,
+    once for as long as the geometry is shared."""
 
     diff: PiecewiseFn
     pos: PiecewiseFn
@@ -60,8 +65,68 @@ class PairGeometry:
         """Signed cumulative area of diff, read by expected-utility gaps."""
         return cum_area_fn(self.diff)
 
+    def _reversed(self) -> "PairGeometry":
+        """The geometry of (G, F), without differencing or splitting again.
+
+        G - F is diff negated, with the same cells and the roles of the
+        parts swapped, so its surplus and deficit are this deficit and
+        surplus. `0.0 - c` is the exact negation that also gives +0.0 for
+        a zero, as G - F does; C is left to integrate the negated diff.
+        """
+        d = self.diff
+        diff = PiecewiseFn(d.breaks, 0.0 - d.left,
+                           tuple((0.0 - c0, 0.0 - c1, 0.0 - c2) for c0, c1, c2 in d.coeffs))
+        rev = PairGeometry(diff, self.neg, self.pos)
+        built = self.__dict__
+        for mine, theirs in (("Ap", "An"), ("An", "Ap")):
+            if mine in built:
+                rev.__dict__[theirs] = built[mine]
+        return rev
+
+
+def _zeros_agree(F: Distribution, G: Distribution) -> bool:
+    """Whether F and G do not break at zeros of opposite sign. Merging
+    two grids keeps the first operand's zero, so only then is the grid
+    of G - F the grid of F - G."""
+    def sign(breaks: tuple[float, ...]) -> float:
+        i = bisect.bisect_left(breaks, 0.0)
+        return math.copysign(1.0, breaks[i]) if i < len(breaks) and breaks[i] == 0.0 else 0.0
+
+    return sign(F.carrier.breaks) * sign(G.carrier.breaks) >= 0.0
+
+
+# (weak reference to F, weak reference to G, geometry of (F, G)), replaced
+# as one tuple; a reference's callback drops it when F or G dies, so the
+# cache never keeps a pair alive.
+_last: tuple | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    last = _last
+    if last is not None and (last[0] is ref or last[1] is ref):
+        _last = None
+
 
 def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
-    """Difference the pair once; every step of a call reads the result."""
-    diff = F.carrier.sub(G.carrier)
-    return PairGeometry(diff, *signed_parts(diff))
+    """Difference the pair, or reuse the last pair's geometry.
+
+    F and G match the last pair by identity, never by value. A request
+    for (G, F) right after (F, G) is derived from the cached geometry,
+    unless F and G break at zeros of opposite sign, where each direction
+    keeps its own.
+    """
+    global _last
+    geom = None
+    last = _last
+    if last is not None:
+        f, g = last[0](), last[1]()
+        if f is F and g is G:
+            return last[2]
+        if f is G and g is F and _zeros_agree(F, G):
+            geom = last[2]._reversed()
+    if geom is None:
+        diff = F.carrier.sub(G.carrier)
+        geom = PairGeometry(diff, *signed_parts(diff))
+    _last = (weakref.ref(F, _forget), weakref.ref(G, _forget), geom)
+    return geom

@@ -15,11 +15,18 @@ import random
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .dominance import OrderTag, Verdict, _easd, _ffsd, _graded
+from .dominance import Verdict, check_easd, check_ffsd, check_mfsd
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
-from .geometry import PairGeometry, pair_geometry
+from .geometry import pair_geometry
 from .piecewise import _poly_max
-from .utility import UtilityPWL, _base_asd, _base_ff, _base_mf, _gap, combine
+from .utility import (
+    UtilityPWL,
+    combine,
+    expected_utility_gap,
+    make_base_asd,
+    make_base_ff,
+    make_base_mf,
+)
 
 __all__ = [
     "SamplerConfig",
@@ -137,28 +144,6 @@ def _span_of(cfg: SamplerConfig) -> tuple[float, float]:
     return a, b
 
 
-def _sample_mf(geom: PairGeometry, gamma: GammaFn,
-               cfg: SamplerConfig) -> list[UtilityPWL]:
-    rng = random.Random(cfg.seed)
-    out: list[UtilityPWL] = [_base_mf(cfg.t_grid[0], geom, gamma)]
-    cap = GammaFn.const(gamma.upper)
-    span = _span_of(cfg)
-    while len(out) < cfg.count:
-        k = rng.randint(1, cfg.max_terms)
-        terms: list[tuple[float, UtilityPWL]] = []
-        for _ in range(k):
-            w = rng.uniform(0.1, 1.0)
-            if rng.random() < 0.7:
-                t = rng.choice(cfg.t_grid)
-                terms.append((w, _base_mf(t, geom, gamma)))
-            else:
-                brk = _random_breaks(rng, span, rng.randint(1, 3))
-                slopes = _draw_dpm_slopes(rng, cap, brk, cfg.slope_range)
-                terms.append((w, UtilityPWL(tuple(brk), tuple(slopes))))
-        out.append(combine(terms))
-    return out
-
-
 def sample_mf_utilities(
     F: Distribution,
     G: Distribution,
@@ -173,7 +158,25 @@ def sample_mf_utilities(
     cfg.t_grid, with some terms drawn from the constant-cap admissible
     class at the gamma upper value.
     """
-    return _sample_mf(pair_geometry(F, G), validate_gamma(gamma), cfg)
+    gamma = validate_gamma(gamma)
+    rng = random.Random(cfg.seed)
+    out: list[UtilityPWL] = [make_base_mf(cfg.t_grid[0], F, G, gamma)]
+    cap = GammaFn.const(gamma.upper)
+    span = _span_of(cfg)
+    while len(out) < cfg.count:
+        k = rng.randint(1, cfg.max_terms)
+        terms: list[tuple[float, UtilityPWL]] = []
+        for _ in range(k):
+            w = rng.uniform(0.1, 1.0)
+            if rng.random() < 0.7:
+                t = rng.choice(cfg.t_grid)
+                terms.append((w, make_base_mf(t, F, G, gamma)))
+            else:
+                brk = _random_breaks(rng, span, rng.randint(1, 3))
+                slopes = _draw_dpm_slopes(rng, cap, brk, cfg.slope_range)
+                terms.append((w, UtilityPWL(tuple(brk), tuple(slopes))))
+        out.append(combine(terms))
+    return out
 
 
 def sample_ff_utilities(gamma: GammaFn, cfg: SamplerConfig) -> list[UtilityPWL]:
@@ -225,7 +228,8 @@ def _sample_asd_utilities(eps: EpsilonFn, cfg: SamplerConfig) -> list[UtilityPWL
 
 
 def _descend_mf_witness(
-    geom: PairGeometry,
+    F: Distribution,
+    G: Distribution,
     gamma: GammaFn,
     t_star: float,
     tol: float,
@@ -237,35 +241,36 @@ def _descend_mf_witness(
     non-negative gap; stepping the threshold left inside the adjacent
     cell recovers a strict violator.
     """
-    w = _base_mf(t_star, geom, gamma)
-    gap = _gap(geom, w)
+    w = make_base_mf(t_star, F, G, gamma)
+    gap = expected_utility_gap(F, G, w)
     if gap < -tol:
         return w
-    prev = max((p for p in (*geom.An.breaks, *gamma.carrier.breaks) if p < t_star),
+    deficit_breaks = pair_geometry(F, G).An.breaks
+    prev = max((p for p in (*deficit_breaks, *gamma.carrier.breaks) if p < t_star),
                default=t_star - 1.0)
     step = (t_star - prev) / 2.0
     for _ in range(80):
-        cand = _base_mf(t_star - step, geom, gamma)
-        cand_gap = _gap(geom, cand)
+        cand = make_base_mf(t_star - step, F, G, gamma)
+        cand_gap = expected_utility_gap(F, G, cand)
         if cand_gap < gap:
             w, gap = cand, cand_gap
         step /= 2.0
     return w
 
 
-def _replay(verdict: Verdict, geom: PairGeometry, samples: list[UtilityPWL],
-            witness, tol: float) -> AgreementReport:
+def _replay(verdict: Verdict, F: Distribution, G: Distribution,
+            samples: list[UtilityPWL], witness, tol: float) -> AgreementReport:
     """Evaluate every sample and, for a failing verdict, the utility
     that `witness()` constructs."""
     min_gap, argmin = math.inf, None
     for u in samples:
-        gap = _gap(geom, u)
+        gap = expected_utility_gap(F, G, u)
         if gap < min_gap:
             min_gap, argmin = gap, u
     count = len(samples)
     if not verdict.holds:
         w = witness()
-        wgap = _gap(geom, w)
+        wgap = expected_utility_gap(F, G, w)
         count += 1
         if wgap < min_gap:
             min_gap, argmin = wgap, w
@@ -283,10 +288,9 @@ def agreement_mfsd(
 ) -> AgreementReport:
     """Replay the pointwise-weight decider against sampled utilities."""
     gamma = validate_gamma(gamma)
-    geom = pair_geometry(F, G)
-    verdict = _graded(OrderTag.MFSD, geom, gamma.carrier, tol)
-    return _replay(verdict, geom, _sample_mf(geom, gamma, cfg),
-                   lambda: _descend_mf_witness(geom, gamma, verdict.witness_t, tol), tol)
+    verdict = check_mfsd(F, G, gamma, tol)
+    return _replay(verdict, F, G, sample_mf_utilities(F, G, gamma, cfg),
+                   lambda: _descend_mf_witness(F, G, gamma, verdict.witness_t, tol), tol)
 
 
 def agreement_ffsd(
@@ -302,10 +306,9 @@ def agreement_ffsd(
     carries mass, matching the witness constructor's own contract.
     """
     gamma = validate_gamma(gamma)
-    geom = pair_geometry(F, G)
-    verdict = _ffsd(geom, gamma, tol)
-    return _replay(verdict, geom, sample_ff_utilities(gamma, cfg),
-                   lambda: _base_ff(verdict.witness_t, geom, gamma), tol)
+    verdict = check_ffsd(F, G, gamma, tol)
+    return _replay(verdict, F, G, sample_ff_utilities(gamma, cfg),
+                   lambda: make_base_ff(verdict.witness_t, F, G, gamma), tol)
 
 
 def agreement_easd(
@@ -321,10 +324,9 @@ def agreement_easd(
     so a failing verdict always comes with a strict violator.
     """
     eps = validate_epsilon(eps)
-    geom = pair_geometry(F, G)
-    verdict = _easd(geom, eps, tol)
-    return _replay(verdict, geom, _sample_asd_utilities(eps, cfg),
-                   lambda: _base_asd(geom, eps), tol)
+    verdict = check_easd(F, G, eps, tol)
+    return _replay(verdict, F, G, _sample_asd_utilities(eps, cfg),
+                   lambda: make_base_asd(F, G, eps), tol)
 
 
 def greediness_oracle(u: UtilityPWL, x: float, grid_size: int = 50) -> float:

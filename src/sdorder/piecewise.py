@@ -32,6 +32,13 @@ class DivisionByZeroGamma(ZeroDivisionError):
 _ZERO = (0.0, 0.0, 0.0)
 
 
+def _not_finite(what: str, **fields: float) -> ValueError:
+    """The error a validating constructor raises for its first
+    non-finite field, named."""
+    name, v = next((k, v) for k, v in fields.items() if not math.isfinite(v))
+    return ValueError(f"{what} {name} must be finite, got {v!r}")
+
+
 def _poly_value(coeff: tuple[float, float, float], d: float) -> float:
     c0, c1, c2 = coeff
     return c0 + d * (c1 + d * c2)

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
-from .geometry import PairGeometry, pair_geometry, total_area_from_cum
+from .geometry import pair_geometry, total_area_from_cum
 from .piecewise import (
     DivisionByZeroGamma,
     PiecewiseFn,
@@ -180,8 +180,17 @@ def _compress(breaks: list[float], slopes: list[float]) -> tuple[tuple[float, ..
     return tuple(out_b), tuple(out_s)
 
 
-def _base_mf(t: float, geom: PairGeometry, gf: GammaFn) -> UtilityPWL:
-    gt = gf.value(t)
+def make_base_mf(t: float, F: Distribution, G: Distribution,
+                 g: GammaFn | PiecewiseFn) -> UtilityPWL:
+    """Witness utility for the graded order at threshold t.
+
+    Slope gamma(t) wherever the CDF difference is non-negative (up to
+    t), slope 1 where it is negative, flat after t; anchored to 0 at t.
+    Its expected-utility gap against (F, G) equals
+    gamma(t) * surplus(t) - deficit(t) exactly.
+    """
+    gt = validate_gamma(g).value(t)
+    geom = pair_geometry(F, G)
     breaks: list[float] = []
     slopes: list[float] = [gt]
     for b, is_neg in zip(geom.grid, geom.neg_flags):
@@ -193,24 +202,11 @@ def _base_mf(t: float, geom: PairGeometry, gf: GammaFn) -> UtilityPWL:
     return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_mf")
 
 
-def make_base_mf(t: float, F: Distribution, G: Distribution,
-                 g: GammaFn | PiecewiseFn) -> UtilityPWL:
-    """Witness utility for the graded order at threshold t.
-
-    Slope gamma(t) wherever the CDF difference is non-negative (up to
-    t), slope 1 where it is negative, flat after t; anchored to 0 at t.
-    Its expected-utility gap against (F, G) equals
-    gamma(t) * surplus(t) - deficit(t) exactly.
-    """
-    gf = validate_gamma(g)
-    return _base_mf(t, pair_geometry(F, G), gf)
-
-
-def _reweighted_slopes(geom: PairGeometry, w: PiecewiseFn, t: float, name: str,
-                       slope) -> tuple[list[float], list[float]]:
-    """Breaks and slopes left of t: 1 on non-negative cells, slope(w) on
-    negative cells, where w must be constant and positive."""
-    grid, (ng, wm) = common_grid(geom.neg, w)
+def _reweighted_slopes(F: Distribution, G: Distribution, w: PiecewiseFn, t: float,
+                       name: str, slope) -> tuple[list[float], list[float]]:
+    """Breaks and slopes left of t: 1 on cells where F - G is non-negative,
+    slope(w) on negative cells, where w must be constant and positive."""
+    grid, (ng, wm) = common_grid(pair_geometry(F, G).neg, w)
     breaks: list[float] = []
     slopes: list[float] = [1.0]
     for b, neg, (w0, w1, w2) in zip(grid, ng, wm):
@@ -229,12 +225,6 @@ def _reweighted_slopes(geom: PairGeometry, w: PiecewiseFn, t: float, name: str,
     return breaks, slopes
 
 
-def _base_ff(t: float, geom: PairGeometry, gf: GammaFn) -> UtilityPWL:
-    breaks, slopes = _reweighted_slopes(geom, gf.carrier, t, "gamma", lambda g0: 1.0 / g0)
-    cb, cs = _compress(breaks + [t], slopes + [0.0])
-    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_ff")
-
-
 def make_base_ff(t: float, F: Distribution, G: Distribution,
                  g: GammaFn | PiecewiseFn) -> UtilityPWL:
     """Witness utility with slope 1 on non-negative cells and 1/gamma(x)
@@ -244,14 +234,9 @@ def make_base_ff(t: float, F: Distribution, G: Distribution,
     otherwise) and positive there.
     """
     gf = validate_gamma(g)
-    return _base_ff(t, pair_geometry(F, G), gf)
-
-
-def _base_asd(geom: PairGeometry, ef: EpsilonFn) -> UtilityPWL:
-    breaks, slopes = _reweighted_slopes(geom, ef.carrier, math.inf, "epsilon",
-                                        lambda e0: (1.0 - e0) / e0)
-    cb, cs = _compress(breaks, slopes)
-    return UtilityPWL(cb, cs, anchor=(0.0, 0.0), provenance="base_asd")
+    breaks, slopes = _reweighted_slopes(F, G, gf.carrier, t, "gamma", lambda g0: 1.0 / g0)
+    cb, cs = _compress(breaks + [t], slopes + [0.0])
+    return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_ff")
 
 
 def make_base_asd(F: Distribution, G: Distribution,
@@ -260,14 +245,19 @@ def make_base_asd(F: Distribution, G: Distribution,
     non-negative cells, (1 - eps(x)) / eps(x) on negative cells, no
     cutoff. epsilon must be constant across each negative cell."""
     ef = validate_epsilon(e)
-    return _base_asd(pair_geometry(F, G), ef)
+    breaks, slopes = _reweighted_slopes(F, G, ef.carrier, math.inf, "epsilon",
+                                        lambda e0: (1.0 - e0) / e0)
+    cb, cs = _compress(breaks, slopes)
+    return UtilityPWL(cb, cs, anchor=(0.0, 0.0), provenance="base_asd")
 
 
 # -- expected utility ------------------------------------------------------
 
 
-def _gap(geom: PairGeometry, u: UtilityPWL) -> float:
-    C = geom.C
+def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> float:
+    """E_G[u] - E_F[u], via integration by parts: the slope-weighted sum
+    of the CDF-difference area accrued on each utility segment."""
+    C = pair_geometry(F, G).C
     final = total_area_from_cum(C)
     total = 0.0
     prev = 0.0
@@ -277,12 +267,6 @@ def _gap(geom: PairGeometry, u: UtilityPWL) -> float:
             total += s * (end - prev)
         prev = end
     return total
-
-
-def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> float:
-    """E_G[u] - E_F[u], via integration by parts: the slope-weighted sum
-    of the CDF-difference area accrued on each utility segment."""
-    return _gap(pair_geometry(F, G), u)
 
 
 # -- membership ------------------------------------------------------------

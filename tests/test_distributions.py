@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import sdorder as sd
 import support
-from sdorder.distributions import EmptyInput, WeightMismatch
+from sdorder.distributions import EmptyInput, ShiftCollapse, WeightMismatch
 
 
 def pmfs():
@@ -35,6 +35,49 @@ def test_from_cdf_rejects_non_cdfs():
     with pytest.raises(ValueError):
         sd.Distribution.from_cdf(
             sd.PiecewiseFn((0.0,), 0.0, ((0.0, 0.0, 1.0),)))
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("field,atoms", [
+    ("mass", lambda v: ((0.0, v), (1.0, 1.0))),
+    ("location", lambda v: ((0.0, 0.5), (v, 0.5))),
+])
+def test_pmf_rejects_non_finite_atoms(bad, field, atoms):
+    with pytest.raises(ValueError, match=f"atom {field} must be finite"):
+        sd.DiscretePMF(atoms(bad))
+
+
+@NON_FINITE
+@pytest.mark.parametrize("field,carrier", [
+    ("slope", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.0, ((0.0, v, 0.0), (1.0, 0.0, 0.0)))),
+    ("value", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.0, ((v, 0.0, 0.0), (1.0, 0.0, 0.0)))),
+    ("breakpoint", lambda v: sd.PiecewiseFn((v,), 0.0, ((1.0, 0.0, 0.0),))),
+])
+def test_from_cdf_rejects_non_finite_pieces(bad, field, carrier):
+    with pytest.raises(ValueError, match=f"CDF {field} must be finite"):
+        sd.Distribution.from_cdf(carrier(bad))
+
+
+def test_shift_names_the_breakpoints_it_collapses():
+    F, _, _ = sd.example_identical_means(2e-8, 1e-8)
+    with pytest.raises(ShiftCollapse) as info:
+        sd.shift(F, 1e9)
+    err = info.value
+    assert (err.shift, err.a, err.b) == (1e9, *F.carrier.breaks)
+    assert err.a + err.shift == err.b + err.shift
+    assert all(repr(v) in str(err) for v in (1e9, err.a, err.b))
+    with pytest.raises(ValueError, match="shift amount must be finite"):
+        sd.shift(F, math.nan)
+
+
+@NON_FINITE
+def test_mixture_rejects_non_finite_weights(bad):
+    with pytest.raises(WeightMismatch, match="finite"):
+        sd.mixture([sd.dirac(0.0), sd.dirac(1.0)], [0.5, bad])
 
 
 def test_dirac_shape():

@@ -50,6 +50,33 @@ class TestValidateGamma:
         assert g.upper == pytest.approx(1.0, abs=1e-9)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+# (field, carrier with the bad number in that field) for a weight whose
+# finite version is valid both as a gamma and as an epsilon
+WEIGHT_FIELDS = pytest.mark.parametrize("field,carrier", [
+    ("left", lambda v: sd.PiecewiseFn((0.0,), v, ((0.25, 0.0, 0.0),))),
+    ("value", lambda v: sd.PiecewiseFn((0.0,), 0.125, ((v, 0.0, 0.0),))),
+    ("slope", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.125, ((0.125, v, 0.0), (0.25, 0.0, 0.0)))),
+    ("quad", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.125, ((0.125, 0.0, v), (0.25, 0.0, 0.0)))),
+    ("breakpoint", lambda v: sd.PiecewiseFn((v,), 0.125, ((0.25, 0.0, 0.0),))),
+])
+
+
+@NON_FINITE
+@WEIGHT_FIELDS
+def test_validate_gamma_rejects_non_finite_numbers(bad, field, carrier):
+    with pytest.raises(ValueError, match=f"gamma {field} must be finite"):
+        sd.validate_gamma(carrier(bad))
+
+
+@NON_FINITE
+@WEIGHT_FIELDS
+def test_validate_epsilon_rejects_non_finite_numbers(bad, field, carrier):
+    with pytest.raises(ValueError, match=f"epsilon {field} must be finite"):
+        sd.validate_epsilon(carrier(bad))
+
+
 class TestValidateEpsilon:
     def test_accepts_non_monotone_step(self):
         e = sd.validate_epsilon(sd.PiecewiseFn.step((0.0,), (0.4, 0.1)))
