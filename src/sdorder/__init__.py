@@ -150,22 +150,6 @@ __all__ = [
     "min_gamma",
     "validate_epsilon",
     "validate_gamma",
-    "NoValidRational",
-    "ParameterViolation",
-    "ThetaVariant",
-    "example_identical_means",
-    "example_local_interpolation",
-    "example_squares",
-    "example_strict_inclusion",
-    "example_theta_family",
-    "AgreementReport",
-    "SamplerConfig",
-    "agreement_easd",
-    "agreement_ffsd",
-    "agreement_mfsd",
-    "greediness_oracle",
-    "sample_ff_utilities",
-    "sample_mf_utilities",
     "DivisionByZeroGamma",
     "NonIntegrableTail",
     "PiecewiseFn",
@@ -173,27 +157,7 @@ __all__ = [
     "cum_area",
     "first_negative_point",
     "total_area",
-    "ExclusionKind",
-    "ExclusionVerdict",
-    "GreedinessProfile",
-    "MembershipVerdict",
-    "NonPositiveSlope",
-    "NonStepGammaOnNegativeRegion",
-    "UtilityPWL",
-    "ara_bound_report",
-    "check_dpm_gamma",
-    "check_membership_asd",
-    "check_membership_fractional",
-    "combine",
-    "expected_utility_gap",
-    "global_greediness",
-    "greediness_profile",
-    "make_base_asd",
-    "make_base_ff",
-    "make_base_mf",
-    "mfsd_exclusion",
-    "partial_greediness",
-    "translate",
+    *_LAZY,  # every lazily loaded name, listed once above
 ]
 
 __version__ = "0.1.0"

@@ -14,23 +14,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import dominance
 from .distributions import Distribution, from_samples
-from .dominance import (
-    Verdict,
-    check_easd,
-    check_ffsd,
-    check_fractional,
-    check_fsd,
-    check_mfsd,
-    check_ssd,
-)
+from .dominance import Verdict
 from .gamma import (
     EpsilonFn,
     GammaFn,
+    GammaOutOfRange,
     Infeasible,
     NotSSDOrdered,
     min_constant_epsilon,
@@ -47,18 +40,6 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-9
 TOL_ENV = "SDORDER_TOL"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = DEFAULT_TOL
-    fmt: str = "text"
-    seed: int = 0
-    samples: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive and finite")
 
 
 class InputError(ValueError):
@@ -292,8 +273,8 @@ def _verdict_text(v: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_verdict(v: Verdict, cfg: RunConfig) -> int:
-    json_out = cfg.fmt == "json"
+def _emit_verdict(v: Verdict, args) -> int:
+    json_out = args.format == "json"
     sys.stdout.write(_verdict_json(v, _json_numbers()) if json_out else _verdict_text(v))
     return 0 if v.holds else 1
 
@@ -301,15 +282,56 @@ def _emit_verdict(v: Verdict, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def _resolve_gamma(args, tol: float) -> GammaFn:
-    if getattr(args, "gamma", None):
-        return load_gamma(args.gamma, tol)
-    if getattr(args, "gamma_const", None) is not None:
+def _tolerance(args) -> float:
+    """--tol, else SDORDER_TOL, else 1e-9; positive and finite."""
+    tol = args.tol
+    if tol is None:
+        env = os.environ.get(TOL_ENV)
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return GammaFn.const(_finite(args.gamma_const))
+            tol = float(env)
         except ValueError as e:
-            raise InputError(f"--gamma-const: {e}") from e
+            raise InputError(f"{TOL_ENV}: not a number: {env!r}") from e
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InputError("tolerance must be positive and finite")
+    return tol
+
+
+def _gamma_const(args, make=float):
+    """make(--gamma-const), with its errors named after the flag."""
+    try:
+        return make(_finite(args.gamma_const))
+    except ValueError as e:
+        raise InputError(f"--gamma-const: {e}") from e
+
+
+def _resolve_gamma(args, tol: float) -> GammaFn:
+    if args.gamma:
+        return load_gamma(args.gamma, tol)
+    if args.gamma_const is not None:
+        return _gamma_const(args, GammaFn.const)
     raise InputError("this order needs --gamma FILE or --gamma-const VALUE")
+
+
+def _weight(args, tol: float) -> tuple:
+    """The weight that --order takes after the pair: () for fsd and ssd."""
+    order = args.order
+    if order == "frac":
+        if args.gamma_const is None:
+            raise InputError("frac needs --gamma-const VALUE")
+        return (_gamma_const(args),)
+    if order == "easd":
+        if not args.epsilon:
+            raise InputError("easd needs --epsilon FILE")
+        return (load_epsilon(args.epsilon, tol),)
+    return (_resolve_gamma(args, tol),) if order in ("mfsd", "ffsd") else ()
+
+
+def _decider(module, prefix: str, order: str):
+    """module's prefix_<order> function, read at call time so that a
+    wrapper installed on the module is the one called."""
+    return getattr(module, f"{prefix}_{'fractional' if order == 'frac' else order}")
 
 
 def _on_pair(args, tol: float, decide):
@@ -321,33 +343,18 @@ def _on_pair(args, tol: float, decide):
     return decide(load_distribution(args.f, tol), load_distribution(args.g, tol))
 
 
-def _check(args, tol: float, F: Distribution, G: Distribution) -> Verdict:
-    order = args.order
-    if order == "fsd":
-        v = check_fsd(F, G, tol=tol)
-    elif order == "ssd":
-        v = check_ssd(F, G, tol=tol)
-    elif order == "frac":
-        if args.gamma_const is None:
-            raise InputError("frac needs --gamma-const VALUE")
+def cmd_check(args) -> int:
+    tol = _tolerance(args)
+    check = _decider(dominance, "check", args.order)
+
+    def decide(F: Distribution, G: Distribution) -> Verdict:
+        weight = _weight(args, tol)
         try:
-            v = check_fractional(F, G, _finite(args.gamma_const), tol=tol)
-        except ValueError as e:
+            return check(F, G, *weight, tol=tol)
+        except GammaOutOfRange as e:  # check_fractional validates its constant
             raise InputError(f"--gamma-const: {e}") from e
-    elif order == "mfsd":
-        v = check_mfsd(F, G, _resolve_gamma(args, tol), tol=tol)
-    elif order == "ffsd":
-        v = check_ffsd(F, G, _resolve_gamma(args, tol), tol=tol)
-    else:
-        if not args.epsilon:
-            raise InputError("easd needs --epsilon FILE")
-        v = check_easd(F, G, load_epsilon(args.epsilon, tol), tol=tol)
-    return v
 
-
-def cmd_check(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
-    return _emit_verdict(_on_pair(args, tol, lambda F, G: _check(args, tol, F, G)), cfg)
+    return _emit_verdict(_on_pair(args, tol, decide), args)
 
 
 def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:
@@ -362,12 +369,12 @@ def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:
     return [(t, carrier.value(t)) for t in pts]
 
 
-def cmd_min_gamma(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+def cmd_min_gamma(args) -> int:
+    tol = _tolerance(args)
     try:
         g = _on_pair(args, tol, lambda F, G: min_gamma(F, G, tol=tol))
     except NotSSDOrdered as e:
-        if cfg.fmt == "json":
+        if args.format == "json":
             out = f'{{"error": "NotSSDOrdered", "ratio": {_json_numbers()(e.ratio)}}}\n'
         elif e.ratio is not None:
             out = f"NotSSDOrdered: deficit exceeds surplus (ratio {e.ratio:.12g})\n"
@@ -377,7 +384,7 @@ def cmd_min_gamma(args, cfg: RunConfig) -> int:
         return 1
     pieces = _carrier_to_pieces(g.carrier, "gamma")
     series = _gamma_series(g)
-    if cfg.fmt == "json":
+    if args.format == "json":
         num = _json_numbers()
         sys.stdout.write(f'{{"gamma": {json.dumps(pieces)}, "lower": {num(g.lower)}, '
                          f'"upper": {num(g.upper)}, "series": {json.dumps(series)}}}\n')
@@ -393,27 +400,27 @@ def cmd_min_gamma(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_min_epsilon(args, cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+def cmd_min_epsilon(args) -> int:
+    tol = _tolerance(args)
     r = _on_pair(args, tol, lambda F, G: min_constant_epsilon(F, G, tol=tol))
     num = _json_numbers()
     if isinstance(r, Infeasible):
         sys.stdout.write(f'{{"infeasible": true, "value": {num(r.value)}}}\n'
-                         if cfg.fmt == "json" else
+                         if args.format == "json" else
                          f"infeasible: no epsilon below 1/2 works (ratio {r.value:.12g})\n")
         return 1
-    sys.stdout.write(f'{{"epsilon": {num(r)}}}\n' if cfg.fmt == "json"
+    sys.stdout.write(f'{{"epsilon": {num(r)}}}\n' if args.format == "json"
                      else f"epsilon: {r:.12g}\n")
     return 0
 
 
-def cmd_greediness(args, cfg: RunConfig) -> int:
+def cmd_greediness(args) -> int:
     from .utility import global_greediness, greediness_profile
 
     u = load_utility(args.u)
     prof = greediness_profile(u)
     g = global_greediness(u)
-    if cfg.fmt == "json":
+    if args.format == "json":
         num = _json_numbers()
         values = ", ".join([num(v) for v in prof.values])
         sys.stdout.write(f'{{"global": {num(g)}, "breaks": {json.dumps(list(prof.breaks))}, '
@@ -426,24 +433,20 @@ def cmd_greediness(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(args, cfg: RunConfig) -> int:
-    from .oracle import SamplerConfig, agreement_easd, agreement_ffsd, agreement_mfsd
+def cmd_oracle(args) -> int:
+    from . import oracle
 
-    tol = cfg.tolerance
+    tol = _tolerance(args)
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     F = load_distribution(args.f, tol)
     G = load_distribution(args.g, tol)
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
-    ts = [*grid, grid[-1] + 1.0]
-    scfg = SamplerConfig(t_grid=tuple(ts), seed=cfg.seed, count=cfg.samples)
-    if args.order == "mfsd":
-        rep = agreement_mfsd(F, G, _resolve_gamma(args, tol), scfg, tol=tol)
-    elif args.order == "ffsd":
-        rep = agreement_ffsd(F, G, _resolve_gamma(args, tol), scfg, tol=tol)
-    else:
-        if not args.epsilon:
-            raise InputError("easd needs --epsilon FILE")
-        rep = agreement_easd(F, G, load_epsilon(args.epsilon, tol), scfg, tol=tol)
-    if cfg.fmt == "json":
+    scfg = oracle.SamplerConfig(t_grid=(*grid, grid[-1] + 1.0), seed=args.seed,
+                                count=args.samples)
+    agreement = _decider(oracle, "agreement", args.order)
+    rep = agreement(F, G, *_weight(args, tol), scfg, tol=tol)
+    if args.format == "json":
         num = _json_numbers()
         violating = json.dumps(_utility_obj(rep.violating)) if rep.violating else "null"
         sys.stdout.write(_verdict_json(rep.verdict, num, (
@@ -460,7 +463,7 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     return 0 if rep.agree else 1
 
 
-def cmd_generate(args, cfg: RunConfig) -> int:
+def cmd_generate(args) -> int:
     from .generators import (
         example_identical_means,
         example_local_interpolation,
@@ -469,13 +472,15 @@ def cmd_generate(args, cfg: RunConfig) -> int:
         example_theta_family,
     )
 
+    name = args.example
+    weighted = name in ("squares", "strict-inclusion")
+    # as in every command that reads a tolerance, it is resolved first
+    tol = _tolerance(args) if weighted else None
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InputError(f"{args.out}: {e.strerror or e}") from e
-    name = args.example
-    files: list[tuple[str, str]] = []
     try:
         if name == "identical-means":
             F, G, g = example_identical_means(args.mu, args.eps)
@@ -485,14 +490,10 @@ def cmd_generate(args, cfg: RunConfig) -> int:
         elif name == "local-interpolation":
             g = example_local_interpolation(args.t1, args.t2, args.gamma_mid)
             files = [("gamma.json", serialize_gamma(g))]
-        elif name == "squares":
-            g = _resolve_gamma(args, cfg.tolerance)
-            F, G = example_squares(args.gamma_target, g, args.t0)
-            files = [("f.json", serialize_distribution(F)),
-                     ("g.json", serialize_distribution(G))]
-        elif name == "strict-inclusion":
-            g = _resolve_gamma(args, cfg.tolerance)
-            F, G = example_strict_inclusion(args.t, g, args.c)
+        elif weighted:
+            g = _resolve_gamma(args, tol)
+            F, G = (example_squares(args.gamma_target, g, args.t0) if name == "squares"
+                    else example_strict_inclusion(args.t, g, args.c))
             files = [("f.json", serialize_distribution(F)),
                      ("g.json", serialize_distribution(G))]
         else:
@@ -516,73 +517,61 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sdorder",
         description="Decide stochastic dominance orders and their relaxations.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance (default: SDORDER_TOL or 1e-9)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=500)
+    # one parent parser per option group; each subcommand lists the ones it reads
+    tol, fmt, pair, gamma, eps = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    tol.add_argument("--tol", type=float, default=None,
+                     help="comparison tolerance (default: SDORDER_TOL or 1e-9)")
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    pair.add_argument("--f", required=True, help="first distribution (json or csv)")
+    pair.add_argument("--g", required=True, help="second distribution (json or csv)")
+    gamma.add_argument("--gamma", help="weight function file")
+    gamma.add_argument("--gamma-const", type=float, help="constant weight shorthand")
+    eps.add_argument("--epsilon", help="threshold function file")
 
     sub = top.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("check", parents=[common], help="decide one order")
+    pc = sub.add_parser("check", parents=[tol, fmt, pair, gamma, eps],
+                        help="decide one order")
     pc.add_argument("--order", required=True,
                     choices=("fsd", "ssd", "frac", "mfsd", "ffsd", "easd"))
-    pc.add_argument("--f", required=True, help="first distribution (json or csv)")
-    pc.add_argument("--g", required=True, help="second distribution (json or csv)")
-    pc.add_argument("--gamma", help="weight function file")
-    pc.add_argument("--gamma-const", type=float, help="constant weight shorthand")
-    pc.add_argument("--epsilon", help="threshold function file")
     pc.set_defaults(fn=cmd_check)
 
-    pg = sub.add_parser("min-gamma", parents=[common],
+    pg = sub.add_parser("min-gamma", parents=[tol, fmt, pair],
                         help="smallest admissible weight function")
-    pg.add_argument("--f", required=True)
-    pg.add_argument("--g", required=True)
     pg.set_defaults(fn=cmd_min_gamma)
 
-    pe = sub.add_parser("min-epsilon", parents=[common],
+    pe = sub.add_parser("min-epsilon", parents=[tol, fmt, pair],
                         help="smallest admissible constant threshold")
-    pe.add_argument("--f", required=True)
-    pe.add_argument("--g", required=True)
     pe.set_defaults(fn=cmd_min_epsilon)
 
-    pu = sub.add_parser("greediness", parents=[common],
-                        help="greediness profile of a utility")
+    pu = sub.add_parser("greediness", parents=[fmt], help="greediness profile of a utility")
     pu.add_argument("--u", required=True, help="utility file")
     pu.set_defaults(fn=cmd_greediness)
 
-    po = sub.add_parser("oracle", parents=[common],
+    po = sub.add_parser("oracle", parents=[tol, fmt, pair, gamma, eps],
                         help="cross-check a verdict against sampled utilities")
     po.add_argument("--order", required=True, choices=("mfsd", "ffsd", "easd"))
-    po.add_argument("--f", required=True)
-    po.add_argument("--g", required=True)
-    po.add_argument("--gamma")
-    po.add_argument("--gamma-const", type=float)
-    po.add_argument("--epsilon")
+    po.add_argument("--seed", type=int, default=0)
+    po.add_argument("--samples", type=int, default=500)
     po.set_defaults(fn=cmd_oracle)
 
     px = sub.add_parser("generate", help="write fixture files")
     gx = px.add_subparsers(dest="example", required=True)
 
-    g1 = gx.add_parser("identical-means", parents=[common])
+    g1 = gx.add_parser("identical-means")
     g1.add_argument("--mu", type=float, required=True)
     g1.add_argument("--eps", type=float, required=True)
-    g2 = gx.add_parser("local-interpolation", parents=[common])
+    g2 = gx.add_parser("local-interpolation")
     g2.add_argument("--t1", type=float, required=True)
     g2.add_argument("--t2", type=float, required=True)
     g2.add_argument("--gamma-mid", type=float, required=True)
-    g3 = gx.add_parser("squares", parents=[common])
+    g3 = gx.add_parser("squares", parents=[tol, gamma])
     g3.add_argument("--gamma-target", type=float, required=True)
     g3.add_argument("--t0", type=float, required=True)
-    g3.add_argument("--gamma")
-    g3.add_argument("--gamma-const", type=float)
-    g4 = gx.add_parser("strict-inclusion", parents=[common])
+    g4 = gx.add_parser("strict-inclusion", parents=[tol, gamma])
     g4.add_argument("--t", type=float, required=True)
     g4.add_argument("--c", type=float, required=True)
-    g4.add_argument("--gamma")
-    g4.add_argument("--gamma-const", type=float)
-    g5 = gx.add_parser("theta-family", parents=[common])
+    g5 = gx.add_parser("theta-family")
     g5.add_argument("--theta", type=float, required=True)
     g5.add_argument("--variant", required=True, choices=("MF", "FF"))
     g5.add_argument("--grid", type=int, default=8)
@@ -593,25 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run_config(args) -> RunConfig:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(TOL_ENV)
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as e:
-                raise InputError(f"{TOL_ENV}: not a number: {env!r}") from e
-        else:
-            tol = DEFAULT_TOL
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InputError("tolerance must be positive and finite")
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1")
-    return RunConfig(tolerance=tol, fmt=args.format, seed=args.seed,
-                     samples=args.samples)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -620,8 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         code = e.code if isinstance(e.code, int) else 2
         return code
     try:
-        cfg = _run_config(args)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except (ValueError, DivisionByZeroGamma) as e:  # InputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

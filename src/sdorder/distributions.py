@@ -157,7 +157,8 @@ def shift(F: Distribution, c: float) -> Distribution:
     """Translate the underlying variable by c: CDF x -> F(x - c).
 
     Raises ShiftCollapse when rounding makes two breakpoints equal, as a
-    shift far larger than their spacing does.
+    shift far larger than their spacing does, and ValueError when a
+    breakpoint overflows to an infinity.
     """
     if c == 0.0:
         return F
@@ -169,6 +170,10 @@ def shift(F: Distribution, c: float) -> Distribution:
         bs = F.carrier.breaks
         a, b = next((a, b) for a, b in zip(bs, bs[1:]) if not a + c < b + c)
         raise ShiftCollapse(c, a, b) from None
+    end = -1 if c > 0.0 else 0  # the only breakpoint that can overflow
+    if math.isinf(carrier.breaks[end]):
+        b = F.carrier.breaks[end]
+        raise ValueError(f"shifting by {c!r} moves the breakpoint {b!r} to {b + c!r}")
     return Distribution(carrier, F.mean + c, F.left_support + c)
 
 

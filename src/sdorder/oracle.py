@@ -130,11 +130,9 @@ def _draw_dpm_slopes(
 
 
 def _random_breaks(rng: random.Random, span: tuple[float, float], k: int) -> list[float]:
+    """k uniform draws on span (from _span_of, so a < b), sorted, repeats dropped."""
     a, b = span
-    if b <= a:
-        a, b = a - 1.0, a + 1.0
-    pts = sorted(set(rng.uniform(a, b) for _ in range(k)))
-    return pts
+    return sorted(set(rng.uniform(a, b) for _ in range(k)))
 
 
 def _span_of(cfg: SamplerConfig) -> tuple[float, float]:

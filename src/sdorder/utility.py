@@ -24,6 +24,7 @@ from .geometry import pair_geometry, total_area_from_cum
 from .piecewise import (
     DivisionByZeroGamma,
     PiecewiseFn,
+    _not_finite,
     _poly_max,
     _poly_roots,
     _poly_value,
@@ -88,9 +89,18 @@ class UtilityPWL:
         for a, b in zip(self.breaks, self.breaks[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
+        # strictly increasing breaks are finite when both ends are
+        if self.breaks and not (math.isfinite(self.breaks[0])
+                                and math.isfinite(self.breaks[-1])):
+            raise _not_finite("utility", first_break=self.breaks[0],
+                              last_break=self.breaks[-1])
         for s in self.slopes:
-            if s < 0.0:
-                raise ValueError("slopes must be non-negative")
+            if not 0.0 <= s < math.inf:
+                raise (ValueError("slopes must be non-negative") if -math.inf < s < 0.0
+                       else _not_finite("utility", slope=s))
+        x0, v0 = self.anchor
+        if not (math.isfinite(x0) and math.isfinite(v0)):
+            raise _not_finite("utility", anchor_x=x0, anchor_value=v0)
 
     def slope_at(self, x: float) -> float:
         """Right derivative at x."""
@@ -153,17 +163,6 @@ class ExclusionVerdict:
     kind: ExclusionKind
     points: tuple[float, ...]
     reason: str
-
-
-def _segment_rep(breaks: tuple[float, ...], i: int) -> float:
-    """Deterministic representative point of slope segment i."""
-    if not breaks:
-        return 0.0
-    if i == 0:
-        return breaks[0] - 1.0
-    if i == len(breaks):
-        return breaks[-1] + 1.0
-    return 0.5 * (breaks[i - 1] + breaks[i])
 
 
 # -- base-type constructors -----------------------------------------------
@@ -277,14 +276,13 @@ def check_membership_fractional(u: UtilityPWL, gamma: float,
     """Constant-weight slope class: gamma * later slope <= every earlier
     slope (inclusive prefix minimum)."""
     pref = math.inf
-    pref_idx = 0
-    for j, s in enumerate(u.slopes):
+    pref_at = 0.0
+    for lo, hi, s in zip((-math.inf, *u.breaks), (*u.breaks, math.inf), u.slopes):
         if s < pref:
             pref = s
-            pref_idx = j
+            pref_at = _cell_rep(lo, hi)
         if gamma * s > pref + tol:
-            x = _segment_rep(u.breaks, pref_idx)
-            y = _segment_rep(u.breaks, j)
+            x, y = pref_at, _cell_rep(lo, hi)
             return MembershipVerdict(
                 False, (x, y),
                 f"gamma*u'({y!r}) = {gamma * s!r} exceeds u'({x!r}) = {pref!r}")
@@ -311,6 +309,8 @@ def _refined_cells(u: UtilityPWL, carrier: PiecewiseFn):
 
 
 def _cell_rep(lo: float, hi: float) -> float:
+    """Deterministic representative point of the cell (lo, hi), either
+    end of which may be infinite."""
     if not math.isfinite(lo):
         return 0.0 if not math.isfinite(hi) else hi - 1.0
     if not math.isfinite(hi):
@@ -408,8 +408,8 @@ def combine(terms: list[tuple[float, UtilityPWL]]) -> UtilityPWL:
     for _, t in terms:
         grid = merge_grids(grid, t.breaks)
     slopes = []
-    for i in range(len(grid) + 1):
-        x = _segment_rep(grid, i)
+    for lo, hi in zip((-math.inf, *grid), (*grid, math.inf)):
+        x = _cell_rep(lo, hi)
         slopes.append(sum(wgt * t.slope_at(x) for wgt, t in terms))
     v0 = sum(wgt * t.value(0.0) for wgt, t in terms)
     cb, cs = _compress(list(grid), slopes)

@@ -1,5 +1,6 @@
 """Command-line front-end: wire formats, exit codes, output shapes."""
 
+import argparse
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 
 import sdorder as sd
 from sdorder.cli import (
+    _build_parser,
     _carrier_to_pieces,
     _gamma_series,
     _pieces_to_carrier,
@@ -281,6 +283,74 @@ class TestToleranceConfig:
                            "--f", crossing_files["f"], "--g", crossing_files["g"])
         assert code == 2
         assert "SDORDER_TOL" in err
+
+
+def _options(parser, path=""):
+    """{subcommand: [option, ...]} over the parser tree, without -h."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found.update(_options(child, f"{path} {name}".strip()))
+    opts = [a.option_strings[-1] for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    if opts:
+        found[path] = sorted(opts)
+    return found
+
+
+class TestOptionSets:
+    PAIR = ["--f", "--g", "--format", "--tol"]
+    WEIGHT = ["--epsilon", "--gamma", "--gamma-const", "--order"]
+
+    def test_each_subcommand_has_only_the_options_it_reads(self):
+        assert _options(_build_parser()) == {
+            "check": sorted(self.PAIR + self.WEIGHT),
+            "min-gamma": sorted(self.PAIR),
+            "min-epsilon": sorted(self.PAIR),
+            "greediness": ["--format", "--u"],
+            "oracle": sorted(self.PAIR + self.WEIGHT + ["--samples", "--seed"]),
+            "generate identical-means": ["--eps", "--mu", "--out"],
+            "generate local-interpolation": ["--gamma-mid", "--out", "--t1", "--t2"],
+            "generate squares": ["--gamma", "--gamma-const", "--gamma-target", "--out",
+                                 "--t0", "--tol"],
+            "generate strict-inclusion": ["--c", "--gamma", "--gamma-const", "--out",
+                                          "--t", "--tol"],
+            "generate theta-family": ["--grid", "--out", "--theta", "--variant"],
+        }
+        assert sum(map(len, _options(_build_parser()).values())) == 51
+
+    def test_an_option_the_command_does_not_read_is_a_usage_error(self, spread_files,
+                                                                   tmp_path, capsys):
+        assert run(capsys, "generate", "theta-family", "--theta", "3", "--variant", "MF",
+                   "--out", str(tmp_path))[0] == 0
+        f, g, u = spread_files["f"], spread_files["g"], str(tmp_path / "u.json")
+        for argv in (("check", "--order", "ssd", "--f", f, "--g", g, "--seed", "1"),
+                     ("min-gamma", "--f", f, "--g", g, "--samples", "5"),
+                     ("greediness", "--u", u, "--tol", "1e-6"),
+                     ("generate", "identical-means", "--mu", "2", "--eps", "1",
+                      "--out", str(tmp_path / "im"), "--format", "json")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "unrecognized arguments" in err, argv
+        assert not (tmp_path / "im").exists()
+
+    def test_commands_that_compare_nothing_ignore_the_tolerance_variable(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SDORDER_TOL", "abc")
+        assert run(capsys, "generate", "theta-family", "--theta", "3", "--variant", "MF",
+                   "--out", str(tmp_path))[0] == 0
+        code, out, err = run(capsys, "greediness", "--u", str(tmp_path / "u.json"))
+        assert code == 0 and "global: " in out and err == ""
+        code, _, err = run(capsys, "generate", "squares", "--gamma-target", "0.5",
+                           "--gamma-const", "0.75", "--t0", "1", "--out", str(tmp_path))
+        assert code == 2 and "SDORDER_TOL" in err
+
+    def test_oracle_still_needs_a_sample(self, spread_files, capsys):
+        code, out, err = run(capsys, "oracle", "--order", "mfsd", "--f", spread_files["f"],
+                             "--g", spread_files["g"], "--gamma-const", "0.5",
+                             "--samples", "0")
+        assert code == 2 and out == "" and "--samples must be at least 1" in err
 
 
 class TestInputErrors:

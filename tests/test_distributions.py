@@ -74,6 +74,14 @@ def test_shift_names_the_breakpoints_it_collapses():
         sd.shift(F, math.nan)
 
 
+@pytest.mark.parametrize("x, c", [(1e308, 1e308), (-1e308, -1e308)], ids=["up", "down"])
+def test_shift_rejects_a_breakpoint_that_overflows(x, c):
+    with pytest.raises(ValueError, match="moves the breakpoint") as info:
+        sd.shift(sd.dirac(x), c)
+    assert repr(c) in str(info.value) and repr(x) in str(info.value)
+    assert sd.shift(sd.dirac(x), -c).carrier.breaks == (0.0,)
+
+
 @NON_FINITE
 def test_mixture_rejects_non_finite_weights(bad):
     with pytest.raises(WeightMismatch, match="finite"):

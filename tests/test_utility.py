@@ -39,6 +39,24 @@ class TestUtilityPWL:
         with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
             sd.UtilityPWL(breaks, (1.0,) * (len(breaks) + 1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, args", [
+        ("slope", lambda v: ((0.0,), (v, 1.0))),
+        ("slope", lambda v: ((0.0,), (1.0, v))),
+        ("first_break", lambda v: ((v,), (1.0, 1.0))),
+        ("anchor_x", lambda v: ((0.0,), (1.0, 1.0), (v, 0.0))),
+        ("anchor_value", lambda v: ((0.0,), (1.0, 1.0), (0.0, v))),
+    ])
+    def test_rejects_non_finite_fields(self, field, args, bad):
+        with pytest.raises(ValueError, match=f"utility {field} must be finite"):
+            sd.UtilityPWL(*args(bad))
+
+    @pytest.mark.parametrize("breaks, field", [((-math.inf, 0.0), "first_break"),
+                                               ((0.0, math.inf), "last_break")])
+    def test_rejects_an_infinite_end_of_increasing_breaks(self, breaks, field):
+        with pytest.raises(ValueError, match=f"utility {field} must be finite"):
+            sd.UtilityPWL(breaks, (1.0, 1.0, 1.0))
+
     def test_value_integrates_slopes_from_anchor(self):
         u = sd.UtilityPWL((0.0, 1.0), (2.0, 1.0, 0.0), anchor=(0.0, 5.0))
         assert u.value(0.0) == 5.0
