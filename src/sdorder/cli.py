@@ -307,11 +307,25 @@ def _gamma_const(args, make=float):
 
 
 def _resolve_gamma(args, tol: float) -> GammaFn:
+    if args.gamma is not None and args.gamma_const is not None:
+        raise InputError("give --gamma FILE or --gamma-const VALUE, not both")
     if args.gamma:
         return load_gamma(args.gamma, tol)
     if args.gamma_const is not None:
         return _gamma_const(args, GammaFn.const)
     raise InputError("this order needs --gamma FILE or --gamma-const VALUE")
+
+
+# the weight flags each --order reads
+_READS = {"fsd": (), "ssd": (), "frac": ("gamma_const",), "mfsd": ("gamma", "gamma_const"),
+          "ffsd": ("gamma", "gamma_const"), "easd": ("epsilon",)}
+
+
+def _reject_unread_weights(args) -> None:
+    """A weight flag that --order does not read is an error, not ignored."""
+    for flag in ("gamma", "gamma_const", "epsilon"):
+        if getattr(args, flag) is not None and flag not in _READS[args.order]:
+            raise InputError(f"--{flag.replace('_', '-')} is not read by --order {args.order}")
 
 
 def _weight(args, tol: float) -> tuple:
@@ -345,6 +359,7 @@ def _on_pair(args, tol: float, decide):
 
 def cmd_check(args) -> int:
     tol = _tolerance(args)
+    _reject_unread_weights(args)
     check = _decider(dominance, "check", args.order)
 
     def decide(F: Distribution, G: Distribution) -> Verdict:
@@ -439,6 +454,7 @@ def cmd_oracle(args) -> int:
     tol = _tolerance(args)
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
+    _reject_unread_weights(args)
     F = load_distribution(args.f, tol)
     G = load_distribution(args.g, tol)
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)

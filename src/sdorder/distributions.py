@@ -44,13 +44,14 @@ def _mean_of(carrier: PiecewiseFn) -> float:
     # finite by construction.
     mu = 0.0
     prev = carrier.left
+    degree = carrier.degree()
     for b, h, c in carrier.cells():
         jump = c[0] - prev
         if jump != 0.0:
             mu += b * jump
         if c[1] != 0.0:
             mu += c[1] * h * (b + h / 2)
-        prev = _poly_value(c, h)  # past the unbounded last cell: never read
+        prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
     return mu
 
 
@@ -71,7 +72,8 @@ class Distribution:
         flat or linear pieces, and stay flat at 1 after its last
         breakpoint.
         """
-        if carrier.degree() > 1:
+        degree = carrier.degree()
+        if degree > 1:
             raise ValueError("a CDF is flat or linear between breakpoints")
         if not carrier.breaks:
             raise ValueError("a CDF needs at least one breakpoint")
@@ -88,7 +90,7 @@ class Distribution:
                 raise ValueError("a CDF cannot jump downward")
             if c[1] < -tol:
                 raise ValueError("a CDF cannot have negative density")
-            prev = _poly_value(c, h)  # past the unbounded last cell: never read
+            prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
         return Distribution(carrier, _mean_of(carrier), _left_support(carrier))
 
     def cdf(self, x: float) -> float:
@@ -133,15 +135,15 @@ def from_samples(xs: list[float]) -> Distribution:
     """Empirical CDF: jump 1/n at each order statistic, ties merged."""
     if not xs:
         raise EmptyInput("no samples given")
-    vals = sorted(float(x) for x in xs)
-    if not all(math.isfinite(x) for x in vals):
+    vals = sorted(map(float, xs))
+    if not all(map(math.isfinite, vals)):
         raise ValueError("samples must be finite")
     n = len(vals)
     breaks: list[float] = []
     heights: list[float] = [0.0]
     seen = 0
     for x, run in groupby(vals):
-        seen += sum(1 for _ in run)
+        seen += len(list(run))
         breaks.append(x)
         heights.append(seen / n)
     heights[-1] = 1.0

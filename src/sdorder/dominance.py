@@ -29,7 +29,6 @@ from .gamma import (
 from .geometry import pair_geometry
 from .piecewise import (
     PiecewiseFn,
-    _poly_value,
     common_grid,
     merge_grids,
     signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
@@ -75,77 +74,72 @@ class Verdict:
     diagnostics: tuple[tuple[float, float, float], ...]
 
 
-# Candidate = (t, lhs, rhs, attained_at_point). Left-limit candidates
-# carry attained_at_point=False: their value is approached from below t,
-# not taken at t itself.
-_Cand = tuple[float, float, float, bool]
-
-
-def _settle(tag: OrderTag, cands: list[_Cand], tol: float) -> Verdict:
-    margin = min(r - l for _, l, r, _ in cands)
-    best_key = None
-    best_t = None
-    for t, l, r, at_point in cands:
-        if (r - l) - margin <= tol:
-            # Prefer witnesses where the inequality is active with real
-            # mass on both sides, then points over one-sided limits,
-            # then the leftmost location.
-            key = (abs(l) + abs(r) <= tol, not at_point, t)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_t = t
-    diags = tuple((t, l, r) for t, l, r, _ in cands)
-    return Verdict(margin >= -tol, best_t, margin, tag, diags)
+def _settle(tag: OrderTag, rows: list[tuple[float, float, float]], limits,
+            tol: float) -> Verdict:
+    """Verdict over the candidate rows (t, lhs, rhs); limits holds the
+    indices of the rows whose value is approached from below t, not
+    taken at t itself."""
+    slack = [r - l for _, l, r in rows]
+    margin = min(slack)
+    # Among the rows within tol of the margin, prefer witnesses where the
+    # inequality is active with real mass on both sides, then points over
+    # one-sided limits, then the leftmost location.
+    best = min(((abs(rows[i][1]) + abs(rows[i][2]) <= tol, i in limits, rows[i][0])
+                for i, s in enumerate(slack) if s - margin <= tol), default=None)
+    return Verdict(margin >= -tol, best[2] if best else None, margin, tag, tuple(rows))
 
 
 def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
-    cands: list[_Cand] = []
+    rows = []
     for b, (gv, gl), (fv, fl) in zip(grid, G.carrier._values_on(grid),
                                      F.carrier._values_on(grid)):
-        cands += ((b, gv, fv, True), (b, gl, fl, False))
-    return _settle(OrderTag.FSD, cands, tol)
+        rows += ((b, gv, fv), (b, gl, fl))
+    return _settle(OrderTag.FSD, rows, range(1, len(rows), 2), tol)
 
 
-def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn,
-                               gamma: PiecewiseFn) -> list[_Cand]:
-    """Candidates for the slack gamma(t) * surplus(t) - deficit(t).
+def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: PiecewiseFn
+                               ) -> tuple[list[tuple[float, float, float]], set[int] | range]:
+    """Candidate rows for the slack gamma(t) * surplus(t) - deficit(t),
+    and the indices of the left-limit rows among them.
 
     On deficit stretches the surplus side is frozen, so the slack's
     derivative is linear there and its lone stationary point is solved
     exactly; everywhere else the slack is monotone on each cell.
     """
     grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
-    cands: list[_Cand] = [(grid[0], An.left, gamma.left * Ap.left, False)]
+    rows = [(grid[0], An.left, gamma.left * Ap.left)]
+    # Each cell adds its start, then its left limit at the next break. A
+    # stationary point, which needs a quadratic weight or deficit, would
+    # follow it and move the later limits off the even rows.
+    curved = gamma.degree() > 1 or An.degree() > 1
+    limits = {0} if curved else range(0, 2 * len(grid) - 1, 2)
     # bounded cells: a left limit sits at the next break itself, not at b + h
     bounded = zip(grid, grid[1:], apc, anc, gmc)
     for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in bounded:
-        cands.append((b, n0, g0 * a0, True))
         h = end - b
-        lhs_end = _poly_value((n0, n1, n2), h)
-        rhs_end = _poly_value((g0, g1, g2), h) * _poly_value((a0, a1, a2), h)
-        cands.append((end, lhs_end, rhs_end, False))
-        if n1 != 0.0 or n2 != 0.0:
+        rows += ((b, n0, g0 * a0), (end, n0 + h * (n1 + h * n2),
+                                    (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2))))
+        if curved:
+            limits.add(len(rows) - 1)
             # slack' = gamma'(d) * surplus - deficit'(d), linear in d
             c = g1 * a0 - n1
             s = 2.0 * (g2 * a0 - n2)
-            if s != 0.0:
+            if (n1 != 0.0 or n2 != 0.0) and s != 0.0:
                 d = -c / s
                 if 0.0 < d < h:
-                    lhs = _poly_value((n0, n1, n2), d)
-                    rhs = _poly_value((g0, g1, g2), d) * a0
-                    cands.append((b + d, lhs, rhs, True))
+                    rows.append((b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0))
     # past the last break nothing accrues: its start is the last candidate
-    cands.append((grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0], True))
-    return cands
+    rows.append((grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]))
+    return rows, limits
 
 
 def _graded(tag: OrderTag, F: Distribution, G: Distribution, gamma: PiecewiseFn,
             tol: float) -> Verdict:
     """Settle deficit(t) <= gamma(t) * surplus(t) over every t."""
     geom = pair_geometry(F, G)
-    return _settle(tag, _weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
+    return _settle(tag, *_weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
 
 
 def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
@@ -179,10 +173,11 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     gf = validate_gamma(g)
     geom = pair_geometry(F, G)
     grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
-    cands = [(t, w, geom.Ap.value(t), True) for t, w in zip(grid, weighted)]
+    # Ap at every node from one walk: c0 there is the number value gives
+    rows = list(zip(grid, weighted, [c[0] for c in geom.Ap._coeffs_on(grid)]))
     # beyond the last break both sides are frozen, so the final node
     # already carries the t -> infinity comparison
-    return _settle(OrderTag.FFSD, cands, tol)
+    return _settle(OrderTag.FFSD, rows, (), tol)
 
 
 def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,

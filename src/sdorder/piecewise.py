@@ -30,6 +30,7 @@ class DivisionByZeroGamma(ZeroDivisionError):
 
 
 _ZERO = (0.0, 0.0, 0.0)
+_slope, _quad = operator.itemgetter(1), operator.itemgetter(2)
 
 
 def _not_finite(what: str, **fields: float) -> ValueError:
@@ -116,6 +117,9 @@ class PiecewiseFn:
         for a, b in zip(self.breaks, self.breaks[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
+        # worked out once: the walks below skip the zero terms of constant cells
+        object.__setattr__(self, "_degree", 2 if any(map(_quad, self.coeffs))
+                           else 1 if any(map(_slope, self.coeffs)) else 0)
 
     # -- point evaluation -------------------------------------------------
 
@@ -136,9 +140,6 @@ class PiecewiseFn:
             return self.left
         return _poly_value(self.coeffs[i], x - self.breaks[i])
 
-    def segment_coeff(self, i: int) -> tuple[float, float, float]:
-        return (self.left, 0.0, 0.0) if i < 0 else self.coeffs[i]
-
     def cells(self) -> Iterator[tuple[float, float, tuple[float, float, float]]]:
         """(start, width, coeff) for every segment, left to right; the
         last width is inf. The left tail is ``left``."""
@@ -156,7 +157,7 @@ class PiecewiseFn:
         if len(values) != len(breaks) + 1:
             raise ValueError("need one more value than breakpoints")
         return PiecewiseFn(
-            tuple(float(b) for b in breaks),
+            tuple(map(float, breaks)),
             float(values[0]),
             tuple((float(v), 0.0, 0.0) for v in values[1:]),
         )
@@ -176,6 +177,9 @@ class PiecewiseFn:
         own, n = self.breaks, len(self.breaks)
         if len(grid) == n:
             return self.coeffs
+        if not n:
+            return ((self.left, 0.0, 0.0),) * len(grid)
+        flat = not self._degree
         coeffs = []
         i = -1
         for b in grid:
@@ -184,6 +188,11 @@ class PiecewiseFn:
                 coeffs.append(self.coeffs[i])
             elif i < 0:
                 coeffs.append((self.left, 0.0, 0.0))
+            elif flat:
+                # _poly_shift's bits when c1 and c2 are zeros, signed or not
+                c0, c1, c2 = self.coeffs[i]
+                z = c1 + c2
+                coeffs.append((c0 + z, z, c2))
             else:
                 coeffs.append(_poly_shift(self.coeffs[i], b - own[i]))
         return tuple(coeffs)
@@ -195,6 +204,19 @@ class PiecewiseFn:
         own, coeffs, n = self.breaks, self.coeffs, len(self.breaks)
         out = []
         i = -1
+        if not self._degree:
+            # c0 + (c1 + c2) is _poly_value's bits at every offset but -0.0,
+            # which only a grid zero on an own zero of the other sign gives
+            v = self.left
+            for b in grid:
+                if i + 1 < n and own[i + 1] == b:
+                    i += 1
+                    c0, c1, c2 = coeffs[i]
+                    lim, v = v, c0 + (c1 + c2)
+                    out.append((v if b else _poly_value(coeffs[i], b - own[i]), lim))
+                else:
+                    out.append((v, v))
+            return out
         for b in grid:
             if i + 1 < n and own[i + 1] == b:
                 lim = self.left if i < 0 else _poly_value(coeffs[i], b - own[i])
@@ -215,13 +237,7 @@ class PiecewiseFn:
         )
 
     def degree(self) -> int:
-        d = 0
-        for c0, c1, c2 in self.coeffs:
-            if c2 != 0.0:
-                return 2
-            if c1 != 0.0:
-                d = 1
-        return d
+        return self._degree
 
     # -- arithmetic on a common grid --------------------------------------
 
@@ -305,6 +321,8 @@ def _split_at_roots(f: PiecewiseFn) -> PiecewiseFn:
     A cell that starts at a cut starts at a root, so its constant is set
     to exactly 0 there: re-anchoring would keep the root's rounding.
     """
+    if not f._degree:
+        return f
     cuts = {b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h)}
     if cuts:
         cuts.difference_update(f.breaks)  # a root may round onto a break
@@ -324,13 +342,16 @@ def _cell_signs(f: PiecewiseFn, tol: float = 0.0) -> tuple[PiecewiseFn, int, lis
     tol of zero count as zero. A bounded cell takes the sign of its
     midpoint, or of its start when the midpoint is zero. The unbounded
     last cell takes the sign of its leading coefficient, which f keeps
-    far right, or of its constant when it is flat.
+    far right, or of its constant when it is flat. A constant f is split
+    nowhere, and each cell takes the sign of its constant.
     """
     g = _split_at_roots(f)
 
     def sgn(v: float) -> int:
         return (v > tol) - (v < -tol)
 
+    if not g._degree:
+        return g, sgn(g.left), [(c0 > tol) - (c0 < -tol) for c0, _, _ in g.coeffs]
     signs = []
     for _, h, c in g.cells():
         if h < math.inf:
@@ -365,6 +386,12 @@ def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
         raise NonIntegrableTail("left tail must be identically zero")
     total = 0.0
     coeffs = []
+    if not f._degree:
+        # halving the zero c1 keeps it; adding it to a total that starts at +0.0 changes no bit
+        for _, h, (c0, c1, _) in f.cells():
+            coeffs.append((total, c0, c1))
+            total += h * c0
+        return PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
     for _, h, (c0, c1, c2) in f.cells():
         if c2 != 0.0:
             raise ValueError("cumulative of a quadratic segment leaves the carrier")

@@ -488,6 +488,38 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", "--order", "easd", "--f", f, "--g", g)
         assert code == 2 and "easd needs" in err
 
+    @pytest.mark.parametrize("command,order,flag", [
+        *(("check", order, flag) for order in ("fsd", "ssd")
+          for flag in ("--gamma", "--gamma-const", "--epsilon")),
+        ("check", "frac", "--gamma"), ("check", "frac", "--epsilon"),
+        ("check", "mfsd", "--epsilon"), ("check", "ffsd", "--epsilon"),
+        ("check", "easd", "--gamma"), ("check", "easd", "--gamma-const"),
+        ("oracle", "mfsd", "--epsilon"), ("oracle", "ffsd", "--epsilon"),
+        ("oracle", "easd", "--gamma"), ("oracle", "easd", "--gamma-const"),
+    ])
+    def test_weight_flag_the_order_does_not_read(self, spread_files, tmp_path, capsys,
+                                                 command, order, flag):
+        f, g = spread_files["f"], spread_files["g"]
+        eps = tmp_path / "eps.json"
+        eps.write_text(serialize_epsilon(sd.EpsilonFn.const(0.375)))
+        reads = {"frac": ["--gamma-const", "0.5"], "mfsd": ["--gamma-const", "0.5"],
+                 "ffsd": ["--gamma-const", "0.5"], "easd": ["--epsilon", str(eps)]}
+        # the unread flag's value is never looked at, not even a missing file
+        value = "nan" if flag == "--gamma-const" else "/nonexistent/w.json"
+        code, out, err = run(capsys, command, "--order", order, "--f", f, "--g", g,
+                             *reads.get(order, []), flag, value)
+        assert code == 2 and out == ""
+        assert f"error: {flag} is not read by --order {order}" in err
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("order", ["mfsd", "ffsd"])
+    def test_gamma_file_and_constant_together(self, spread_files, capsys, command, order):
+        code, out, err = run(capsys, command, "--order", order, "--f", spread_files["f"],
+                             "--g", spread_files["g"], "--gamma", spread_files["gamma"],
+                             "--gamma-const", "0.5")
+        assert code == 2 and out == ""
+        assert "error: give --gamma FILE or --gamma-const VALUE, not both" in err
+
     def test_bad_runtime_config(self, spread_files, capsys):
         f, g = spread_files["f"], spread_files["g"]
         assert run(capsys, "check", "--order", "ssd", "--f", f, "--g", g,

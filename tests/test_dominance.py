@@ -2,11 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdorder as sd
 import support
-from sdorder.dominance import GammaOutOfRange
-from sdorder.piecewise import DivisionByZeroGamma
+from sdorder.dominance import GammaOutOfRange, OrderTag, _settle, _weighted_slack_candidates
+from sdorder.geometry import pair_geometry
+from sdorder.piecewise import DivisionByZeroGamma, merge_grids
+from test_geometry import RAMP, STEP, cdfs
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,55 @@ class TestSingleInequality:
         rhs = 0.5 + 0.5
         assert v.margin == pytest.approx(rhs - lhs, abs=1e-12)
         assert v.holds == (rhs - lhs >= -1e-9)
+
+
+# -- the settle and the candidate rows -------------------------------------
+
+SLACKS = st.sampled_from([0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 0.5, -0.5, 1e-10, -1e-10, 2.0])
+
+
+def _settle_by_flagged_candidates(rows, limits, tol):
+    """The scan over (t, lhs, rhs, attained_at_point) candidates that
+    `_settle` replaced: holds, witness and margin."""
+    cands = [(t, lhs, rhs, i not in limits) for i, (t, lhs, rhs) in enumerate(rows)]
+    margin = min(r - l for _, l, r, _ in cands)
+    best_key = best_t = None
+    for t, l, r, at_point in cands:
+        if (r - l) - margin <= tol:
+            key = (abs(l) + abs(r) <= tol, not at_point, t)
+            if best_key is None or key < best_key:
+                best_key, best_t = key, t
+    return margin >= -tol, best_t, margin
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4).map(lambda k: k / 3.0), SLACKS, SLACKS),
+                min_size=1, max_size=12),
+       st.sets(st.integers(0, 11)), st.sampled_from([0.0, 1e-9, 0.25]))
+def test_settle_picks_the_witness_the_flagged_scan_picks(rows, limits, tol):
+    v = _settle(OrderTag.SSD, rows, limits, tol)
+    assert repr((v.holds, v.witness_t, v.margin)) == repr(
+        _settle_by_flagged_candidates(rows, limits, tol))
+    assert v.diagnostics == tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cdfs(), cdfs())
+def test_ffsd_reads_the_surplus_that_point_evaluation_gives(F, G):
+    v = sd.check_ffsd(F, G, STEP)
+    Ap = pair_geometry(F, G).Ap
+    assert [repr(rhs) for _, _, rhs in v.diagnostics] == [
+        repr(Ap.value(t)) for t, _, _ in v.diagnostics]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cdfs(), cdfs(), st.sampled_from([RAMP, STEP, sd.GammaFn.const(1.0 / 3.0)]))
+def test_left_limit_rows_are_the_cell_ends(F, G, gamma):
+    geom = pair_geometry(F, G)
+    rows, limits = _weighted_slack_candidates(geom.Ap, geom.An, gamma.carrier)
+    # a left limit closes each bounded cell at the break where the next starts
+    grid = merge_grids(geom.grid, gamma.carrier.breaks)
+    ends = [i for i in range(len(rows)) if i in limits]
+    assert ends[0] == 0 and len(ends) == len(grid)
+    assert [rows[i][0] for i in ends[1:]] == list(grid[1:])
+    assert all(rows[i - 1][0] < rows[i][0] for i in ends[1:])

@@ -1,13 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdorder.piecewise import (
     DivisionByZeroGamma,
     NonIntegrableTail,
     PiecewiseFn,
+    _cell_signs,
+    _poly_shift,
+    _poly_value,
     compress,
     crossings,
     cum_area,
@@ -64,6 +67,32 @@ def quadratic_pwl(draw, max_breaks=5):
         st.sampled_from(DY), min_size=k, max_size=k, unique=True))))
     coeffs = tuple(draw(st.tuples(QUARTERS, QUARTERS, QUARTERS)) for _ in bs)
     return PiecewiseFn(bs, draw(QUARTERS), coeffs)
+
+
+# levels of a step carrier: a zero of either sign half the time, else a
+# third, fifth or seventh in [-1, 1], which is not dyadic
+ZEROS = st.sampled_from([0.0, -0.0])
+LEVELS = st.one_of(ZEROS, st.sampled_from(sorted({k / d for d in (3, 5, 7)
+                                                  for k in range(-d, d + 1) if k})))
+
+
+@st.composite
+def step_pwl(draw, max_breaks=5):
+    """Degree-0 carrier: constant cells at LEVELS, each slope and
+    curvature a zero of either sign, as the negative part of a step
+    function carries them."""
+    k = draw(st.integers(1, max_breaks))
+    bs = tuple(sorted(draw(st.lists(
+        st.sampled_from(DY), min_size=k, max_size=k, unique=True))))
+    coeffs = tuple(draw(st.tuples(LEVELS, ZEROS, ZEROS)) for _ in bs)
+    return PiecewiseFn(bs, draw(LEVELS), coeffs)
+
+
+def _scanned_degree(f: PiecewiseFn) -> int:
+    """The degree read off the coefficients, as the carrier defines it."""
+    if any(c2 != 0.0 for _, _, c2 in f.coeffs):
+        return 2
+    return 1 if any(c1 != 0.0 for _, c1, _ in f.coeffs) else 0
 
 
 def dense_probes(f: PiecewiseFn, marks=()) -> list[float]:
@@ -149,13 +178,68 @@ def test_refinement_preserves_values(f):
     assert f.with_breaks(f.breaks[::2]) is f
 
 
-@given(quadratic_pwl(), st.lists(st.sampled_from(DY), max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_values_on_a_grid_match_point_evaluation(f, extra):
-    grid = merge_grids(f.breaks, tuple(sorted(set(extra))))
+# merge_grids keeps its first operand's zero, so a carrier can be walked onto
+# a grid whose zero has the other sign: the offset from its break is -0.0
+@example(PiecewiseFn((-1.0, 0.0), 0.0, ((-0.0, 0.0, 0.0), (-0.0, 0.0, 0.0))), [-0.0], True)
+@given(st.one_of(quadratic_pwl(), step_pwl()), st.lists(st.sampled_from([*DY, -0.0]), max_size=6),
+       st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_values_on_a_grid_match_point_evaluation(f, extra, extra_first):
+    extra = tuple(sorted(set(extra)))
+    grid = merge_grids(extra, f.breaks) if extra_first else merge_grids(f.breaks, extra)
     # the same numbers, bit for bit, as value and left_limit at each point
     assert ([tuple(map(repr, p)) for p in f._values_on(grid)]
             == [(repr(f.value(b)), repr(f.left_limit(b))) for b in grid])
+
+
+@given(step_pwl(), st.lists(st.sampled_from(DY), max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_constant_cells_give_the_bits_of_the_quadratic_formulas(f, extra):
+    assert f.degree() == 0
+    grid = merge_grids(f.breaks, tuple(sorted(set(extra))))
+    expect = []
+    for b in grid:
+        i = f.segment_index(b)
+        expect.append((f.left, 0.0, 0.0) if i < 0 else f.coeffs[i] if f.breaks[i] == b
+                      else _poly_shift(f.coeffs[i], b - f.breaks[i]))
+    assert repr(f._coeffs_on(grid)) == repr(tuple(expect))
+    # a cell's sign is its midpoint's, or its start's when that is zero;
+    # the unbounded last cell is flat, so its constant's
+    g, left_sign, signs = _cell_signs(f)
+    assert g is f and left_sign == _sign(f.left)
+    assert signs == [_sign(_poly_value(c, h / 2) if h < math.inf else c[0]) or _sign(c[0])
+                     for _, h, c in f.cells()]
+    pos, neg = signed_parts(f)
+    zero = (0.0, 0.0, 0.0)
+    assert repr(pos) == repr(PiecewiseFn(f.breaks, f.left if left_sign > 0 else 0.0, tuple(
+        c if s > 0 else zero for c, s in zip(f.coeffs, signs))))
+    assert repr(neg) == repr(PiecewiseFn(f.breaks, -f.left if left_sign < 0 else 0.0, tuple(
+        (-c[0], -c[1], -c[2]) if s < 0 else zero for c, s in zip(f.coeffs, signs))))
+    # the cumulative area of the same cells, integrated as degree-1 pieces
+    flat = PiecewiseFn(f.breaks, 0.0, f.coeffs)
+    total, expect = 0.0, []
+    for _, h, (c0, c1, _) in flat.cells():
+        expect.append((total, c0, c1 / 2.0))
+        total += h * (c0 + h * (c1 / 2.0))
+    assert repr(cum_area_fn(flat).coeffs) == repr(tuple(expect))
+
+
+@given(step_pwl(), st.one_of(step_pwl(), linear_pwl(), quadratic_pwl()),
+       st.lists(st.sampled_from(DY), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_degree_is_kept_by_every_builder(f, other, extra):
+    diff = f.sub(other)
+    pos, neg = signed_parts(diff)
+    built = [diff, pos, neg, f.with_breaks(tuple(sorted(set(extra)))),
+             other.with_breaks(tuple(sorted(set(extra))))]
+    # cumulative areas of the same cells with the left tail cut to zero
+    flat = PiecewiseFn(f.breaks, 0.0, f.coeffs)
+    built += [cum_area_fn(flat), cum_area_fn(signed_parts(flat)[1])]
+    if diff.degree() < 2:
+        built.append(cum_area_fn(PiecewiseFn(diff.breaks, 0.0, diff.coeffs)))
+    for h in built:
+        assert h.degree() == _scanned_degree(h)
+    assert pos.degree() <= diff.degree() and neg.degree() <= diff.degree()
 
 
 def test_merge_grids_is_the_sorted_union():
