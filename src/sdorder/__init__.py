@@ -10,51 +10,11 @@ comparisons, with samplers to cross-check each verdict.
 
 from importlib import import_module as _import_module
 
-from .distributions import (
-    DiscretePMF,
-    Distribution,
-    EmptyInput,
-    WeightMismatch,
-    convolve,
-    dirac,
-    from_samples,
-    mixture,
-    shift,
-)
-from .dominance import (
-    OrderTag,
-    Verdict,
-    check_easd,
-    check_ffsd,
-    check_fractional,
-    check_fsd,
-    check_mfsd,
-    check_ssd,
-)
-from .gamma import (
-    EpsilonFn,
-    EpsilonOutOfRange,
-    GammaFn,
-    GammaOutOfRange,
-    Infeasible,
-    NotMonotone,
-    NotSSDOrdered,
-    RangeViolation,
-    min_constant_epsilon,
-    min_constant_gamma,
-    min_gamma,
-    validate_epsilon,
-    validate_gamma,
-)
-from .piecewise import (
-    DivisionByZeroGamma,
-    NonIntegrableTail,
-    PiecewiseFn,
-    crossings,
-    cum_area,
-    first_negative_point,
-    total_area,
-)
+from . import distributions, dominance, gamma, piecewise
+from .distributions import *  # noqa: F403
+from .dominance import *  # noqa: F403
+from .gamma import *  # noqa: F403
+from .piecewise import *  # noqa: F403
 
 # The utility, oracle and generator layers load on first use of one of
 # their names, so a process that only decides never pays their import
@@ -119,45 +79,13 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "DiscretePMF",
-    "Distribution",
-    "EmptyInput",
-    "WeightMismatch",
-    "convolve",
-    "dirac",
-    "from_samples",
-    "mixture",
-    "shift",
-    "OrderTag",
-    "Verdict",
-    "check_easd",
-    "check_ffsd",
-    "check_fractional",
-    "check_fsd",
-    "check_mfsd",
-    "check_ssd",
-    "EpsilonFn",
-    "EpsilonOutOfRange",
-    "GammaFn",
-    "GammaOutOfRange",
-    "Infeasible",
-    "NotMonotone",
-    "NotSSDOrdered",
-    "RangeViolation",
-    "min_constant_epsilon",
-    "min_constant_gamma",
-    "min_gamma",
-    "validate_epsilon",
-    "validate_gamma",
-    "DivisionByZeroGamma",
-    "NonIntegrableTail",
-    "PiecewiseFn",
-    "crossings",
-    "cum_area",
-    "first_negative_point",
-    "total_area",
-    *_LAZY,  # every lazily loaded name, listed once above
-]
+# Every eager layer's list, then every lazily loaded name, each once.
+__all__ = list(dict.fromkeys([
+    *distributions.__all__,
+    *dominance.__all__,
+    *gamma.__all__,
+    *piecewise.__all__,
+    *_LAZY,
+]))
 
 __version__ = "0.1.0"

@@ -159,10 +159,10 @@ def load_gamma(path: str, tol: float) -> GammaFn:
         raise InputError(f"{path}: {e}") from e
 
 
-def load_epsilon(path: str, tol: float) -> EpsilonFn:
+def load_epsilon(path: str) -> EpsilonFn:
     carrier = _pieces_to_carrier(_load_json(path), path, "epsilon")
     try:
-        return validate_epsilon(carrier, tol=tol)
+        return validate_epsilon(carrier)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -338,7 +338,7 @@ def _weight(args, tol: float) -> tuple:
     if order == "easd":
         if not args.epsilon:
             raise InputError("easd needs --epsilon FILE")
-        return (load_epsilon(args.epsilon, tol),)
+        return (load_epsilon(args.epsilon),)
     return (_resolve_gamma(args, tol),) if order in ("mfsd", "ffsd") else ()
 
 
@@ -417,7 +417,7 @@ def cmd_min_gamma(args) -> int:
 
 def cmd_min_epsilon(args) -> int:
     tol = _tolerance(args)
-    r = _on_pair(args, tol, lambda F, G: min_constant_epsilon(F, G, tol=tol))
+    r = _on_pair(args, tol, min_constant_epsilon)
     num = _json_numbers()
     if isinstance(r, Infeasible):
         sys.stdout.write(f'{{"infeasible": true, "value": {num(r.value)}}}\n'

@@ -15,6 +15,18 @@ from itertools import groupby
 
 from .piecewise import PiecewiseFn, _not_finite, _poly_value
 
+__all__ = [
+    "DiscretePMF",
+    "Distribution",
+    "EmptyInput",
+    "WeightMismatch",
+    "convolve",
+    "dirac",
+    "from_samples",
+    "mixture",
+    "shift",
+]
+
 
 class EmptyInput(ValueError):
     """An empirical CDF needs at least one sample."""
@@ -36,23 +48,6 @@ class ShiftCollapse(ValueError):
 def _left_support(carrier: PiecewiseFn) -> float:
     return next((b for b, (c0, c1, _) in zip(carrier.breaks, carrier.coeffs)
                  if c0 > 0.0 or c1 > 0.0), math.inf)
-
-
-def _mean_of(carrier: PiecewiseFn) -> float:
-    # Stieltjes integral of x dF: atoms at breakpoints, uniform mass on
-    # linear pieces. The validated final segment is flat, so the sum is
-    # finite by construction.
-    mu = 0.0
-    prev = carrier.left
-    degree = carrier.degree()
-    for b, h, c in carrier.cells():
-        jump = c[0] - prev
-        if jump != 0.0:
-            mu += b * jump
-        if c[1] != 0.0:
-            mu += c[1] * h * (b + h / 2)
-        prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
-    return mu
 
 
 @dataclass(frozen=True)
@@ -82,16 +77,25 @@ class Distribution:
         c0, c1, _ = carrier.coeffs[-1]
         if c1 != 0.0 or abs(c0 - 1.0) > tol:
             raise ValueError("a CDF must reach 1 at its last breakpoint and stay there")
+        # The mean is the Stieltjes integral of x dF: atoms at breakpoints,
+        # uniform mass on linear pieces. The final segment is flat, so the
+        # sum is finite.
+        mu = 0.0
         prev = carrier.left
         for b, h, c in carrier.cells():
             if not (math.isfinite(b) and math.isfinite(c[0]) and math.isfinite(c[1])):
                 raise _not_finite("CDF", breakpoint=b, value=c[0], slope=c[1])
-            if c[0] - prev < -tol:
+            jump = c[0] - prev
+            if jump < -tol:
                 raise ValueError("a CDF cannot jump downward")
             if c[1] < -tol:
                 raise ValueError("a CDF cannot have negative density")
+            if jump != 0.0:
+                mu += b * jump
+            if c[1] != 0.0:
+                mu += c[1] * h * (b + h / 2)
             prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
-        return Distribution(carrier, _mean_of(carrier), _left_support(carrier))
+        return Distribution(carrier, mu, _left_support(carrier))
 
     def cdf(self, x: float) -> float:
         return self.carrier.value(x)

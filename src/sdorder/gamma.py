@@ -149,7 +149,7 @@ def _eps_attained(v: float) -> None:
         raise EpsilonOutOfRange("epsilon values must lie strictly inside (0, 1/2)")
 
 
-def validate_epsilon(e: PiecewiseFn, tol: float = 1e-9) -> EpsilonFn:
+def validate_epsilon(e: PiecewiseFn) -> EpsilonFn:
     """Check that every attained value lies strictly inside (0, 1/2).
 
     One-sided limits may touch the band edges without violating the
@@ -259,8 +259,7 @@ def min_constant_gamma(F: Distribution, G: Distribution,
     return g.upper
 
 
-def min_constant_epsilon(F: Distribution, G: Distribution,
-                         tol: float = 1e-9) -> float | Infeasible:
+def min_constant_epsilon(F: Distribution, G: Distribution) -> float | Infeasible:
     """Smallest constant epsilon, or Infeasible when it would reach 1/2.
 
     The single-inequality order with a constant weight reduces to a

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .distributions import Distribution
 from .dominance import Verdict, check_easd, check_ffsd, check_mfsd
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
-from .geometry import pair_geometry
 from .piecewise import _poly_max
 from .utility import (
     UtilityPWL,
@@ -93,17 +92,6 @@ class AgreementReport:
         )
 
 
-def _segment_sups(gamma: GammaFn, breaks: list[float]) -> list[float]:
-    """Supremum of gamma over each cell cut by `breaks` (monotone gamma).
-
-    Cell i is (breaks[i-1], breaks[i]) with an unbounded first and last
-    cell; the sup of a non-decreasing function on a cell is its left
-    limit at the right endpoint, and the last cell tops out at the
-    global upper value.
-    """
-    return [*map(gamma.carrier.left_limit, breaks), gamma.upper]
-
-
 def _draw_dpm_slopes(
     rng: random.Random,
     gamma: GammaFn,
@@ -115,10 +103,13 @@ def _draw_dpm_slopes(
     Each new slope obeys sup-of-gamma-on-its-cell times slope <= running
     minimum of earlier slopes, which is exactly the decreasing-marginal
     constraint the membership checker enforces.  gamma identically 0
-    leaves the draw unconstrained.
+    leaves the draw unconstrained.  Cell i is (breaks[i-1], breaks[i]),
+    unbounded at both ends; the sup of a non-decreasing gamma on a cell
+    is its left limit at the right endpoint, and the last cell tops out
+    at the global upper value.
     """
     lo, hi = slope_range
-    sups = _segment_sups(gamma, breaks)
+    sups = [*map(gamma.carrier.left_limit, breaks), gamma.upper]
     slopes = [rng.uniform(lo, hi)]
     prefix_min = slopes[0]
     for i in range(1, len(breaks) + 1):
@@ -225,35 +216,25 @@ def _sample_asd_utilities(eps: EpsilonFn, cfg: SamplerConfig) -> list[UtilityPWL
     return out
 
 
-def _descend_mf_witness(
+def _mf_witness(
     F: Distribution,
     G: Distribution,
     gamma: GammaFn,
     t_star: float,
     tol: float,
 ) -> UtilityPWL:
-    """Base-type witness with a certified negative gap near t_star.
+    """Base-type witness at t_star with a negative gap.
 
-    When the margin minimum is attained only as a left limit (gamma jumps
-    up exactly at t_star), the base type at t_star itself has a
-    non-negative gap; stepping the threshold left inside the adjacent
-    cell recovers a strict violator.
+    When the margin is only a left limit (gamma jumps up at t_star), the
+    base type at t_star may not violate; the base type under the constant
+    gamma(t_star-) does, with gap gamma(t_star-) * surplus(t_star) -
+    deficit(t_star), the left-limit slack itself.  It stays in gamma's
+    class: left of t_star gamma is at most gamma(t_star-).
     """
     w = make_base_mf(t_star, F, G, gamma)
-    gap = expected_utility_gap(F, G, w)
-    if gap < -tol:
+    if expected_utility_gap(F, G, w) < -tol:
         return w
-    deficit_breaks = pair_geometry(F, G).An.breaks
-    prev = max((p for p in (*deficit_breaks, *gamma.carrier.breaks) if p < t_star),
-               default=t_star - 1.0)
-    step = (t_star - prev) / 2.0
-    for _ in range(80):
-        cand = make_base_mf(t_star - step, F, G, gamma)
-        cand_gap = expected_utility_gap(F, G, cand)
-        if cand_gap < gap:
-            w, gap = cand, cand_gap
-        step /= 2.0
-    return w
+    return make_base_mf(t_star, F, G, GammaFn.const(gamma.carrier.left_limit(t_star)))
 
 
 def _replay(verdict: Verdict, F: Distribution, G: Distribution,
@@ -288,7 +269,7 @@ def agreement_mfsd(
     gamma = validate_gamma(gamma)
     verdict = check_mfsd(F, G, gamma, tol)
     return _replay(verdict, F, G, sample_mf_utilities(F, G, gamma, cfg),
-                   lambda: _descend_mf_witness(F, G, gamma, verdict.witness_t, tol), tol)
+                   lambda: _mf_witness(F, G, gamma, verdict.witness_t, tol), tol)
 
 
 def agreement_ffsd(

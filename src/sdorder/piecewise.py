@@ -20,6 +20,16 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+__all__ = [
+    "DivisionByZeroGamma",
+    "NonIntegrableTail",
+    "PiecewiseFn",
+    "crossings",
+    "cum_area",
+    "first_negative_point",
+    "total_area",
+]
+
 
 class NonIntegrableTail(ValueError):
     """Cumulative integration from -inf needs a vanishing left tail."""

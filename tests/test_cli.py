@@ -565,7 +565,7 @@ class TestWireRoundTrips:
         path = tmp_path / "e.json"
         path.write_text(serialize_epsilon(sd.EpsilonFn.const(0.3)))
         from sdorder.cli import load_epsilon
-        e = load_epsilon(str(path), 1e-9)
+        e = load_epsilon(str(path))
         for t in (-10.0, -0.5, 0.0, 7.0):
             assert e.value(t) == 0.3
 

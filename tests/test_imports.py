@@ -1,6 +1,8 @@
 """Import boundary: deciding loads only the decider layers; the package
 still exports every name it lists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,6 +24,35 @@ def test_cli_import_loads_no_lazy_layer():
                        env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+
+def test_lazy_table_lists_each_lazy_layer_all():
+    by_module: dict = {}
+    for name, module in sdorder._LAZY.items():
+        by_module.setdefault(module, []).append(name)
+    assert set(by_module) == {"generators", "oracle", "utility"}
+    for module, names in by_module.items():
+        exported = importlib.import_module(f"sdorder.{module}").__all__
+        assert sorted(names) == sorted(exported), module
+
+
+def test_all_lists_each_name_once():
+    assert len(sdorder.__all__) == len(set(sdorder.__all__))
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted(Path(sdorder.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names
+                        if n.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_every_exported_name_resolves():

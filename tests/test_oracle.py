@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sdorder as sd
 import support
@@ -139,6 +141,22 @@ class TestAgreement:
         assert rep.agree
         assert rep.min_gap < -0.04
 
+    def test_left_limit_witness_is_the_base_type_under_the_limit(self, spread):
+        # the base type at 3 itself has gap 0 under this weight; the
+        # witness takes the constant gamma(3-) = 0.9 and stays at 3
+        F, G, _ = spread
+        g = sd.validate_gamma(sd.PiecewiseFn.step((3.0,), (0.9, 1.0)))
+        v = sd.check_mfsd(F, G, g)
+        assert v.witness_t == 3.0
+        assert sd.expected_utility_gap(F, G, sd.make_base_mf(3.0, F, G, g)) >= 0.0
+        rep = sd.agreement_mfsd(F, G, g, sd.SamplerConfig(t_grid=(3.0,), count=1))
+        u = rep.violating
+        assert u == sd.make_base_mf(3.0, F, G, sd.GammaFn.const(0.9))
+        assert u.anchor == (3.0, 0.0) and u.breaks[-1] == 3.0
+        assert rep.min_gap == pytest.approx(v.margin, abs=1e-12)
+        assert sd.check_dpm_gamma(u, g).member
+        assert sd.mfsd_exclusion(u, g).kind is sd.ExclusionKind.MEMBER_BY_CONSTRUCTION
+
     def test_cutoff_free_both_sides(self):
         F, G = sd.example_strict_inclusion(0.0, sd.GammaFn.const(0.5), 0.25)
         hold = sd.agreement_ffsd(F, G, sd.GammaFn.const(0.5),
@@ -189,3 +207,31 @@ class TestGreedinessOracle:
                             (u.breaks[0] + u.breaks[-1]) / 2.0])
             assert sd.greediness_oracle(u, x) == pytest.approx(
                 sd.partial_greediness(u, x), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_failing_graded_verdict_names_a_base_type_at_its_witness(rng):
+    F, G = (support.ssd_pair if rng.random() < 0.5 else support.arb_pair)(rng)
+    # a weight that jumps to 1 where the CDFs jump often binds at a left
+    # limit that the base type at that point does not violate
+    atoms = sorted({*F.carrier.breaks, *G.carrier.breaks})
+    bs = sorted(rng.sample(atoms, rng.randint(1, min(3, len(atoms)))))
+    levels = sorted(rng.randint(0, 16) / 16.0 for _ in bs) + [1.0]
+    g = sd.validate_gamma(sd.PiecewiseFn.step(tuple(bs), tuple(levels)))
+    v = sd.check_mfsd(F, G, g)
+    assume(not v.holds)
+    t = v.witness_t
+    rep = sd.agreement_mfsd(F, G, g, sd.SamplerConfig(t_grid=(t,), count=1))
+    u = rep.violating
+    assert rep.agree and u is not None
+    assert u.anchor == (t, 0.0)
+    assert sd.check_dpm_gamma(u, g).member
+    assert sd.expected_utility_gap(F, G, u) == rep.min_gap
+    base = sd.make_base_mf(t, F, G, g)
+    if sd.expected_utility_gap(F, G, base) < -1e-9:
+        # a base type that already violates is kept; when the margin is
+        # a left limit, its gap is the shallower slack at t itself
+        assert u == base and rep.min_gap >= v.margin - 1e-12
+    else:
+        assert rep.min_gap == pytest.approx(v.margin, abs=1e-12)
