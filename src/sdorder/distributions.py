@@ -83,8 +83,8 @@ class Distribution:
         mu = 0.0
         prev = carrier.left
         for b, h, c in carrier.cells():
-            if not (math.isfinite(b) and math.isfinite(c[0]) and math.isfinite(c[1])):
-                raise _not_finite("CDF", breakpoint=b, value=c[0], slope=c[1])
+            if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+                raise _not_finite("CDF", value=c[0], slope=c[1])
             jump = c[0] - prev
             if jump < -tol:
                 raise ValueError("a CDF cannot jump downward")
@@ -170,16 +170,15 @@ def shift(F: Distribution, c: float) -> Distribution:
         return F
     if not math.isfinite(c):
         raise _not_finite("shift", amount=c)
+    bs = F.carrier.breaks
+    end = bs[-1] if c > 0.0 else bs[0]  # the only breakpoint that can overflow
+    if math.isinf(end + c):
+        raise ValueError(f"shifting by {c!r} moves the breakpoint {end!r} to {end + c!r}")
     try:
         carrier = F.carrier.shift(c)
     except ValueError:
-        bs = F.carrier.breaks
         a, b = next((a, b) for a, b in zip(bs, bs[1:]) if not a + c < b + c)
         raise ShiftCollapse(c, a, b) from None
-    end = -1 if c > 0.0 else 0  # the only breakpoint that can overflow
-    if math.isinf(carrier.breaks[end]):
-        b = F.carrier.breaks[end]
-        raise ValueError(f"shifting by {c!r} moves the breakpoint {b!r} to {b + c!r}")
     return Distribution(carrier, F.mean + c, F.left_support + c)
 
 

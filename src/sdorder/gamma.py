@@ -116,15 +116,12 @@ def validate_gamma(g: PiecewiseFn, tol: float = 1e-9) -> GammaFn:
     """
     if isinstance(g, GammaFn):
         return g
-    if not math.isfinite(g.left):
-        raise _not_finite("gamma", left=g.left)
     if g.left < -tol:
         raise RangeViolation("gamma must be >= 0")
     prev = g.left
-    for b, h, (c0, c1, c2) in g.cells():
-        if not (math.isfinite(b) and math.isfinite(c0) and math.isfinite(c1)
-                and math.isfinite(c2)):
-            raise _not_finite("gamma", breakpoint=b, value=c0, slope=c1, quad=c2)
+    for _, h, (c0, c1, c2) in g.cells():
+        if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
+            raise _not_finite("gamma", value=c0, slope=c1, quad=c2)
         if c0 - prev < -tol:
             raise NotMonotone("gamma jumps downward")
         if h < math.inf:
@@ -158,13 +155,10 @@ def validate_epsilon(e: PiecewiseFn) -> EpsilonFn:
     """
     if isinstance(e, EpsilonFn):
         return e
-    if not math.isfinite(e.left):
-        raise _not_finite("epsilon", left=e.left)
     _eps_attained(e.left)
-    for b, h, (c0, c1, c2) in e.cells():
-        if not (math.isfinite(b) and math.isfinite(c0) and math.isfinite(c1)
-                and math.isfinite(c2)):
-            raise _not_finite("epsilon", breakpoint=b, value=c0, slope=c1, quad=c2)
+    for _, h, (c0, c1, c2) in e.cells():
+        if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
+            raise _not_finite("epsilon", value=c0, slope=c1, quad=c2)
         _eps_attained(c0)
         if h < math.inf:
             llim = _poly_value((c0, c1, c2), h)

@@ -7,8 +7,6 @@ view built since.
 
 from __future__ import annotations
 
-import bisect
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,17 +82,6 @@ class PairGeometry:
         return rev
 
 
-def _zeros_agree(F: Distribution, G: Distribution) -> bool:
-    """Whether F and G do not break at zeros of opposite sign. Merging
-    two grids keeps the first operand's zero, so only then is the grid
-    of G - F the grid of F - G."""
-    def sign(breaks: tuple[float, ...]) -> float:
-        i = bisect.bisect_left(breaks, 0.0)
-        return math.copysign(1.0, breaks[i]) if i < len(breaks) and breaks[i] == 0.0 else 0.0
-
-    return sign(F.carrier.breaks) * sign(G.carrier.breaks) >= 0.0
-
-
 # (weak reference to F, weak reference to G, geometry of (F, G)), replaced
 # as one tuple; a reference's callback drops it when F or G dies, so the
 # cache never keeps a pair alive.
@@ -112,9 +99,7 @@ def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
     """Difference the pair, or reuse the last pair's geometry.
 
     F and G match the last pair by identity, never by value. A request
-    for (G, F) right after (F, G) is derived from the cached geometry,
-    unless F and G break at zeros of opposite sign, where each direction
-    keeps its own.
+    for (G, F) right after (F, G) is derived from the cached geometry.
     """
     global _last
     geom = None
@@ -123,7 +108,7 @@ def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
         f, g = last[0](), last[1]()
         if f is F and g is G:
             return last[2]
-        if f is G and g is F and _zeros_agree(F, G):
+        if f is G and g is F:
             geom = last[2]._reversed()
     if geom is None:
         diff = F.carrier.sub(G.carrier)

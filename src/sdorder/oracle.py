@@ -39,30 +39,28 @@ __all__ = [
 ]
 
 
+# A combined graded sample has at most _MAX_TERMS terms; free slopes are
+# drawn from the positive interval _SLOPE_RANGE.
+_MAX_TERMS = 3
+_SLOPE_RANGE = (0.1, 2.0)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the utility samplers.
 
     t_grid: threshold parameters the base-type utilities are drawn from.
-    slope_range: positive interval the free slopes are drawn from.
     """
 
     t_grid: tuple[float, ...]
     seed: int = 0
     count: int = 100
-    max_terms: int = 3
-    slope_range: tuple[float, float] = (0.1, 2.0)
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("sample count must be at least 1")
         if not self.t_grid:
             raise ValueError("threshold grid must be non-empty")
-        lo, hi = self.slope_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("slope range must be positive and ordered")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -92,12 +90,7 @@ class AgreementReport:
         )
 
 
-def _draw_dpm_slopes(
-    rng: random.Random,
-    gamma: GammaFn,
-    breaks: list[float],
-    slope_range: tuple[float, float],
-) -> list[float]:
+def _draw_dpm_slopes(rng: random.Random, gamma: GammaFn, breaks: list[float]) -> list[float]:
     """Slopes admissible for `gamma`, drawn left to right.
 
     Each new slope obeys sup-of-gamma-on-its-cell times slope <= running
@@ -108,7 +101,7 @@ def _draw_dpm_slopes(
     is its left limit at the right endpoint, and the last cell tops out
     at the global upper value.
     """
-    lo, hi = slope_range
+    lo, hi = _SLOPE_RANGE
     sups = [*map(gamma.carrier.left_limit, breaks), gamma.upper]
     slopes = [rng.uniform(lo, hi)]
     prefix_min = slopes[0]
@@ -153,7 +146,7 @@ def sample_mf_utilities(
     cap = GammaFn.const(gamma.upper)
     span = _span_of(cfg)
     while len(out) < cfg.count:
-        k = rng.randint(1, cfg.max_terms)
+        k = rng.randint(1, _MAX_TERMS)
         terms: list[tuple[float, UtilityPWL]] = []
         for _ in range(k):
             w = rng.uniform(0.1, 1.0)
@@ -162,7 +155,7 @@ def sample_mf_utilities(
                 terms.append((w, make_base_mf(t, F, G, gamma)))
             else:
                 brk = _random_breaks(rng, span, rng.randint(1, 3))
-                slopes = _draw_dpm_slopes(rng, cap, brk, cfg.slope_range)
+                slopes = _draw_dpm_slopes(rng, cap, brk)
                 terms.append((w, UtilityPWL(tuple(brk), tuple(slopes))))
         out.append(combine(terms))
     return out
@@ -182,7 +175,7 @@ def sample_ff_utilities(gamma: GammaFn, cfg: SamplerConfig) -> list[UtilityPWL]:
     out: list[UtilityPWL] = []
     for _ in range(cfg.count):
         brk = _random_breaks(rng, span, rng.randint(1, 4))
-        slopes = _draw_dpm_slopes(rng, gamma, brk, cfg.slope_range)
+        slopes = _draw_dpm_slopes(rng, gamma, brk)
         out.append(UtilityPWL(tuple(brk), tuple(slopes)))
     return out
 
@@ -209,32 +202,26 @@ def _sample_asd_utilities(eps: EpsilonFn, cfg: SamplerConfig) -> list[UtilityPWL
     out: list[UtilityPWL] = []
     for _ in range(cfg.count):
         brk = _random_breaks(rng, span, rng.randint(1, 4))
-        m = rng.uniform(*cfg.slope_range)
+        m = rng.uniform(*_SLOPE_RANGE)
         slopes = [m * rng.uniform(1.0, factor) for _ in range(len(brk) + 1)]
         slopes[rng.randrange(len(slopes))] = m
         out.append(UtilityPWL(tuple(brk), tuple(slopes)))
     return out
 
 
-def _mf_witness(
-    F: Distribution,
-    G: Distribution,
-    gamma: GammaFn,
-    t_star: float,
-    tol: float,
-) -> UtilityPWL:
-    """Base-type witness at t_star with a negative gap.
+def _mf_witness(F: Distribution, G: Distribution, gamma: GammaFn,
+                t_star: float) -> UtilityPWL:
+    """Base-type witness at t_star, whose gap is the margin.
 
-    When the margin is only a left limit (gamma jumps up at t_star), the
-    base type at t_star may not violate; the base type under the constant
-    gamma(t_star-) does, with gap gamma(t_star-) * surplus(t_star) -
-    deficit(t_star), the left-limit slack itself.  It stays in gamma's
+    Where gamma jumps up at t_star the margin is the left-limit slack
+    gamma(t_star-) * surplus(t_star) - deficit(t_star), the gap of the
+    base type under the constant gamma(t_star-).  It stays in gamma's
     class: left of t_star gamma is at most gamma(t_star-).
     """
-    w = make_base_mf(t_star, F, G, gamma)
-    if expected_utility_gap(F, G, w) < -tol:
-        return w
-    return make_base_mf(t_star, F, G, GammaFn.const(gamma.carrier.left_limit(t_star)))
+    below = gamma.carrier.left_limit(t_star)
+    if below < gamma.value(t_star):
+        gamma = GammaFn.const(below)
+    return make_base_mf(t_star, F, G, gamma)
 
 
 def _replay(verdict: Verdict, F: Distribution, G: Distribution,
@@ -269,7 +256,7 @@ def agreement_mfsd(
     gamma = validate_gamma(gamma)
     verdict = check_mfsd(F, G, gamma, tol)
     return _replay(verdict, F, G, sample_mf_utilities(F, G, gamma, cfg),
-                   lambda: _mf_witness(F, G, gamma, verdict.witness_t, tol), tol)
+                   lambda: _mf_witness(F, G, gamma, verdict.witness_t), tol)
 
 
 def agreement_ffsd(

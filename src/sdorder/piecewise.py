@@ -110,8 +110,8 @@ def _widths(breaks: tuple[float, ...]) -> list[float]:
 class PiecewiseFn:
     """Right-continuous piecewise polynomial, degree <= 2 per segment.
 
-    ``breaks`` is strictly increasing. ``left`` is the constant value on
-    ``(-inf, breaks[0])``. ``coeffs[i]`` covers ``[breaks[i], breaks[i+1])``
+    ``breaks`` is strictly increasing and finite; a zero is stored as
+    +0.0. ``left`` is the finite constant value on ``(-inf, breaks[0])``. ``coeffs[i]`` covers ``[breaks[i], breaks[i+1])``
     in the local coordinate ``x - breaks[i]``; the final entry covers the
     unbounded right segment. With no breaks the function is the constant
     ``left`` everywhere.
@@ -122,11 +122,21 @@ class PiecewiseFn:
     coeffs: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.breaks):
+        bs = self.breaks
+        if len(self.coeffs) != len(bs):
             raise ValueError("one coefficient triple per breakpoint required")
-        for a, b in zip(self.breaks, self.breaks[1:]):
+        for a, b in zip(bs, bs[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
+        if not math.isfinite(self.left):
+            raise _not_finite("carrier", left=self.left)
+        for b in bs[:1] + bs[-1:]:  # every other break lies strictly between these
+            if not math.isfinite(b):
+                raise _not_finite("carrier", breakpoint=b)
+        # zero breaks are stored unsigned, so grids merged from carriers agree on them
+        i = bisect.bisect_left(bs, 0.0)
+        if bs[i:i + 1] == (0.0,) and math.copysign(1.0, bs[i]) < 0.0:
+            object.__setattr__(self, "breaks", (*bs[:i], 0.0, *bs[i + 1:]))
         # worked out once: the walks below skip the zero terms of constant cells
         object.__setattr__(self, "_degree", 2 if any(map(_quad, self.coeffs))
                            else 1 if any(map(_slope, self.coeffs)) else 0)
@@ -215,15 +225,14 @@ class PiecewiseFn:
         out = []
         i = -1
         if not self._degree:
-            # c0 + (c1 + c2) is _poly_value's bits at every offset but -0.0,
-            # which only a grid zero on an own zero of the other sign gives
+            # c0 + (c1 + c2) is _poly_value's bits at every offset from +0.0 on
             v = self.left
             for b in grid:
                 if i + 1 < n and own[i + 1] == b:
                     i += 1
                     c0, c1, c2 = coeffs[i]
                     lim, v = v, c0 + (c1 + c2)
-                    out.append((v if b else _poly_value(coeffs[i], b - own[i]), lim))
+                    out.append((v, lim))
                 else:
                     out.append((v, v))
             return out

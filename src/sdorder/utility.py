@@ -274,19 +274,8 @@ def expected_utility_gap(F: Distribution, G: Distribution, u: UtilityPWL) -> flo
 def check_membership_fractional(u: UtilityPWL, gamma: float,
                                 tol: float = 1e-9) -> MembershipVerdict:
     """Constant-weight slope class: gamma * later slope <= every earlier
-    slope (inclusive prefix minimum)."""
-    pref = math.inf
-    pref_at = 0.0
-    for lo, hi, s in zip((-math.inf, *u.breaks), (*u.breaks, math.inf), u.slopes):
-        if s < pref:
-            pref = s
-            pref_at = _cell_rep(lo, hi)
-        if gamma * s > pref + tol:
-            x, y = pref_at, _cell_rep(lo, hi)
-            return MembershipVerdict(
-                False, (x, y),
-                f"gamma*u'({y!r}) = {gamma * s!r} exceeds u'({x!r}) = {pref!r}")
-    return MembershipVerdict(True, None, "inclusive prefix-minimum scan passed")
+    slope (inclusive prefix minimum); check_dpm_gamma under the constant."""
+    return check_dpm_gamma(u, GammaFn.const(gamma), tol)
 
 
 def _refined_cells(u: UtilityPWL, carrier: PiecewiseFn):

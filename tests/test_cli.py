@@ -636,8 +636,9 @@ def _ref_verdict(v, fmt):
 
 @pytest.fixture()
 def zero_pair(tmp_path):
-    """A pair whose diagnostics hold -0.0 (a sample) and 0.0 (a CDF value),
-    and repeat values; EASD on it reports a row at t = inf."""
+    """A pair with a -0.0 sample, which the carrier stores as 0.0, and
+    repeat values. FRAC at the weight -0.0 reports rows with -0.0 (its
+    rhs) and 0.0; EASD reports a row at t = inf."""
     f, g, eps = tmp_path / "f.csv", tmp_path / "g.csv", tmp_path / "eps.json"
     f.write_text("-0.0\n1\n1\n2\n")
     g.write_text("0.5\n1.5\n1.5\n")
@@ -648,7 +649,7 @@ def zero_pair(tmp_path):
 class TestReportBytes:
     def test_inputs_hold_both_zero_signs_and_inf(self, zero_pair):
         F, G = (load_distribution(p, 1e-9) for p in zero_pair[:2])
-        numbers = [x for row in sd.check_fsd(F, G).diagnostics for x in row]
+        numbers = [x for row in sd.check_fractional(F, G, -0.0).diagnostics for x in row]
         assert any(x == 0.0 and math.copysign(1.0, x) < 0 for x in numbers)
         assert any(x == 0.0 and math.copysign(1.0, x) > 0 for x in numbers)
         assert len(set(numbers)) < len(numbers)
@@ -656,7 +657,7 @@ class TestReportBytes:
         assert sd.check_easd(F, G, eps).diagnostics[0][0] == math.inf
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("order", ["fsd", "ssd", "frac", "mfsd", "easd"])
+    @pytest.mark.parametrize("order", ["fsd", "ssd", "frac", "frac-negzero", "mfsd", "easd"])
     @pytest.mark.parametrize("swap", [False, True], ids=["FG", "GF"])
     def test_check(self, zero_pair, capsys, order, fmt, swap):
         f, g, eps = zero_pair
@@ -667,13 +668,15 @@ class TestReportBytes:
             "fsd": ([], lambda: sd.check_fsd(F, G)),
             "ssd": ([], lambda: sd.check_ssd(F, G)),
             "frac": (["--gamma-const", "0.5"], lambda: sd.check_fractional(F, G, 0.5)),
+            "frac-negzero": (["--gamma-const", "-0.0"],
+                             lambda: sd.check_fractional(F, G, -0.0)),
             "mfsd": (["--gamma-const", "0.75"],
                      lambda: sd.check_mfsd(F, G, sd.GammaFn.const(0.75))),
             "easd": (["--epsilon", eps],
                      lambda: sd.check_easd(F, G, sd.EpsilonFn.const(0.375))),
         }[order]
         v = v()
-        code, out, _ = run(capsys, "check", "--order", order, "--f", f, "--g", g,
+        code, out, _ = run(capsys, "check", "--order", order.split("-")[0], "--f", f, "--g", g,
                            *extra, "--format", fmt)
         assert code == (0 if v.holds else 1)
         assert out == _ref_verdict(v, fmt)

@@ -63,17 +63,23 @@ WEIGHT_FIELDS = pytest.mark.parametrize("field,carrier", [
 ])
 
 
+# the carrier itself rejects a non-finite left tail or breakpoint
+CARRIER_FIELDS = ("left", "breakpoint")
+
+
 @NON_FINITE
 @WEIGHT_FIELDS
 def test_validate_gamma_rejects_non_finite_numbers(bad, field, carrier):
-    with pytest.raises(ValueError, match=f"gamma {field} must be finite"):
+    owner = "carrier" if field in CARRIER_FIELDS else "gamma"
+    with pytest.raises(ValueError, match=f"{owner} {field} must be finite"):
         sd.validate_gamma(carrier(bad))
 
 
 @NON_FINITE
 @WEIGHT_FIELDS
 def test_validate_epsilon_rejects_non_finite_numbers(bad, field, carrier):
-    with pytest.raises(ValueError, match=f"epsilon {field} must be finite"):
+    owner = "carrier" if field in CARRIER_FIELDS else "epsilon"
+    with pytest.raises(ValueError, match=f"{owner} {field} must be finite"):
         sd.validate_epsilon(carrier(bad))
 
 

@@ -98,11 +98,21 @@ def test_freed_and_rebuilt_pairs_never_get_a_stale_geometry():
         del F, G
 
 
-def test_zeros_of_opposite_sign_keep_the_directions_apart():
+def test_zeros_of_opposite_sign_share_one_split(monkeypatch):
+    # carriers store zero breaks unsigned, so -0.0 and 0.0 samples give one grid
     F = sd.from_samples([-0.0, 1.0])
     G = sd.from_samples([0.0, 2.0])
+    calls = []
+
+    def counted(diff):
+        calls.append(diff)
+        return split(diff)
+
+    split = geometry.signed_parts
+    monkeypatch.setattr(geometry, "signed_parts", counted)
     pair_geometry(F, G)
     rev = pair_geometry(G, F)
+    assert len(calls) == 1
     assert repr(rev.grid) == repr(pair_geometry(_copy(G), _copy(F)).grid)
     assert repr(sd.check_ssd(G, F)) == repr(sd.check_ssd(_copy(G), _copy(F)))
 

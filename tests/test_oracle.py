@@ -52,12 +52,6 @@ class TestSamplerConfig:
             sd.SamplerConfig(t_grid=(), count=10)
         with pytest.raises(ValueError):
             sd.SamplerConfig(t_grid=(0.0,), count=0)
-        with pytest.raises(ValueError):
-            sd.SamplerConfig(t_grid=(0.0,), slope_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            sd.SamplerConfig(t_grid=(0.0,), slope_range=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            sd.SamplerConfig(t_grid=(0.0,), max_terms=0)
 
 
 class TestGradedSampler:
@@ -228,10 +222,5 @@ def test_failing_graded_verdict_names_a_base_type_at_its_witness(rng):
     assert u.anchor == (t, 0.0)
     assert sd.check_dpm_gamma(u, g).member
     assert sd.expected_utility_gap(F, G, u) == rep.min_gap
-    base = sd.make_base_mf(t, F, G, g)
-    if sd.expected_utility_gap(F, G, base) < -1e-9:
-        # a base type that already violates is kept; when the margin is
-        # a left limit, its gap is the shallower slack at t itself
-        assert u == base and rep.min_gap >= v.margin - 1e-12
-    else:
-        assert rep.min_gap == pytest.approx(v.margin, abs=1e-12)
+    # at a jump of the weight too, the witness's gap is the margin itself
+    assert rep.min_gap == pytest.approx(v.margin, abs=1e-12)

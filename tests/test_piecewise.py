@@ -131,6 +131,27 @@ def test_breaks_must_strictly_increase(breaks):
         PiecewiseFn(breaks, 0.0, coeffs)
 
 
+@example([], math.inf)
+@example([-0.0, 0.5], math.nan)
+@given(st.lists(st.sampled_from([*DY, -0.0]), max_size=5, unique=True),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(max_examples=60, deadline=None)
+def test_carriers_have_finite_ends_and_unsigned_zero_breaks(xs, bad):
+    bs = tuple(sorted(xs))
+    flat = ((0.25, 0.0, 0.0),)
+    f = PiecewiseFn(bs, 0.5, flat * len(bs))
+    assert f.breaks == bs
+    assert all(math.copysign(1.0, b) > 0.0 for b in f.breaks if b == 0.0)
+    with pytest.raises(ValueError, match=f"carrier left must be finite, got {bad!r}"):
+        PiecewiseFn(bs, bad, flat * len(bs))
+    # a non-finite end that passes the order test: a lone NaN, -inf first, +inf last
+    ends = (bad,) if math.isnan(bad) else (bad, *bs) if bad < 0.0 else (*bs, bad)
+    with pytest.raises(ValueError, match=f"carrier breakpoint must be finite, got {bad!r}"):
+        PiecewiseFn(ends, 0.5, flat * len(ends))
+    # each end is tested on its own, so ends near the float range's edge are fine
+    assert PiecewiseFn((-1e308, *bs, 1e308), 0.5, flat * (len(bs) + 2)).breaks[1:-1] == bs
+
+
 def test_point_evaluation_is_right_continuous():
     f = PiecewiseFn.step((0.0, 1.0), (0.0, 0.5, 1.0))
     assert f.value(-0.01) == 0.0
@@ -178,14 +199,13 @@ def test_refinement_preserves_values(f):
     assert f.with_breaks(f.breaks[::2]) is f
 
 
-# merge_grids keeps its first operand's zero, so a carrier can be walked onto
-# a grid whose zero has the other sign: the offset from its break is -0.0
-@example(PiecewiseFn((-1.0, 0.0), 0.0, ((-0.0, 0.0, 0.0), (-0.0, 0.0, 0.0))), [-0.0], True)
 @given(st.one_of(quadratic_pwl(), step_pwl()), st.lists(st.sampled_from([*DY, -0.0]), max_size=6),
        st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_values_on_a_grid_match_point_evaluation(f, extra, extra_first):
+    # grids are merged from the breaks of carriers, which store zeros unsigned
     extra = tuple(sorted(set(extra)))
+    extra = PiecewiseFn(extra, 0.0, ((0.0, 0.0, 0.0),) * len(extra)).breaks
     grid = merge_grids(extra, f.breaks) if extra_first else merge_grids(f.breaks, extra)
     # the same numbers, bit for bit, as value and left_limit at each point
     assert ([tuple(map(repr, p)) for p in f._values_on(grid)]

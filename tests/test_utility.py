@@ -192,6 +192,12 @@ class TestMembership:
         assert sd.check_membership_fractional(u, 0.5).member
         assert not sd.check_membership_fractional(u, 0.9).member
 
+    @pytest.mark.parametrize("c", [-0.5, 1.5])
+    def test_constant_weight_membership_rejects_a_weight_outside_the_unit_interval(self, c):
+        u = sd.UtilityPWL((0.0,), (1.0, 1.5))
+        with pytest.raises(sd.RangeViolation):
+            sd.check_membership_fractional(u, c)
+
     def test_single_inequality_membership(self):
         e = sd.EpsilonFn.const(0.25)  # slope ceiling = 3 * min slope
         ok = sd.UtilityPWL((0.0,), (1.0, 3.0))
