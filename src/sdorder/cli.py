@@ -23,7 +23,6 @@ from .dominance import Verdict
 from .gamma import (
     EpsilonFn,
     GammaFn,
-    GammaOutOfRange,
     Infeasible,
     NotSSDOrdered,
     min_constant_epsilon,
@@ -298,10 +297,10 @@ def _tolerance(args) -> float:
     return tol
 
 
-def _gamma_const(args, make=float):
-    """make(--gamma-const), with its errors named after the flag."""
+def _gamma_const(args) -> GammaFn:
+    """GammaFn.const(--gamma-const), with its errors named after the flag."""
     try:
-        return make(_finite(args.gamma_const))
+        return GammaFn.const(_finite(args.gamma_const))
     except ValueError as e:
         raise InputError(f"--gamma-const: {e}") from e
 
@@ -312,7 +311,7 @@ def _resolve_gamma(args, tol: float) -> GammaFn:
     if args.gamma:
         return load_gamma(args.gamma, tol)
     if args.gamma_const is not None:
-        return _gamma_const(args, GammaFn.const)
+        return _gamma_const(args)
     raise InputError("this order needs --gamma FILE or --gamma-const VALUE")
 
 
@@ -334,7 +333,7 @@ def _weight(args, tol: float) -> tuple:
     if order == "frac":
         if args.gamma_const is None:
             raise InputError("frac needs --gamma-const VALUE")
-        return (_gamma_const(args),)
+        return (_gamma_const(args).upper,)
     if order == "easd":
         if not args.epsilon:
             raise InputError("easd needs --epsilon FILE")
@@ -361,15 +360,8 @@ def cmd_check(args) -> int:
     tol = _tolerance(args)
     _reject_unread_weights(args)
     check = _decider(dominance, "check", args.order)
-
-    def decide(F: Distribution, G: Distribution) -> Verdict:
-        weight = _weight(args, tol)
-        try:
-            return check(F, G, *weight, tol=tol)
-        except GammaOutOfRange as e:  # check_fractional validates its constant
-            raise InputError(f"--gamma-const: {e}") from e
-
-    return _emit_verdict(_on_pair(args, tol, decide), args)
+    verdict = _on_pair(args, tol, lambda F, G: check(F, G, *_weight(args, tol), tol=tol))
+    return _emit_verdict(verdict, args)
 
 
 def _gamma_series(g: GammaFn) -> list[tuple[float, float]]:

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import Distribution
-from .gamma import (
-    EpsilonFn,
-    GammaFn,
-    GammaOutOfRange,
-    validate_epsilon,
-    validate_gamma,
-)
+from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import pair_geometry
 from .piecewise import (
     PiecewiseFn,
@@ -149,10 +143,9 @@ def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
 
 def check_fractional(F: Distribution, G: Distribution, gamma: float,
                      tol: float = 1e-9) -> Verdict:
-    """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t."""
-    if not 0.0 <= gamma <= 1.0:
-        raise GammaOutOfRange("constant gamma must lie in [0, 1]")
-    return _graded(OrderTag.FRAC, F, G, PiecewiseFn.constant(gamma), tol)
+    """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t.
+    The graded order under GammaFn.const(gamma), whose range it shares."""
+    return _graded(OrderTag.FRAC, F, G, GammaFn.const(gamma).carrier, tol)
 
 
 def check_mfsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,

@@ -13,7 +13,7 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 from .piecewise import (
     DivisionByZeroGamma,
@@ -32,7 +32,6 @@ __all__ = [
     "EpsilonFn",
     "EpsilonOutOfRange",
     "GammaFn",
-    "GammaOutOfRange",
     "Infeasible",
     "NotMonotone",
     "NotSSDOrdered",
@@ -51,10 +50,6 @@ class NotMonotone(ValueError):
 
 class RangeViolation(ValueError):
     """Gamma functions take values in [0, 1]."""
-
-
-class GammaOutOfRange(ValueError):
-    """A constant gamma parameter must lie in [0, 1]."""
 
 
 class EpsilonOutOfRange(ValueError):
@@ -79,66 +74,54 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class GammaFn:
-    """Non-decreasing weight into [0,1] with cached limits at both infinities."""
+    """Non-decreasing weight into [0, 1] with cached limits at both
+    infinities, checked when built: GammaFn(carrier) or
+    GammaFn(carrier, tol=...).
+
+    Raises NotMonotone on any decrease (jump or slope) and
+    RangeViolation when values leave [0 - tol, 1 + tol] or the function
+    fails to level off on its last segment.
+    """
 
     carrier: PiecewiseFn
-    lower: float
-    upper: float
+    lower: float = field(init=False)
+    upper: float = field(init=False)
+    _: KW_ONLY
+    tol: InitVar[float] = 1e-9
+
+    def __post_init__(self, tol: float) -> None:
+        g = self.carrier
+        if g.left < -tol:
+            raise RangeViolation("gamma must be >= 0")
+        prev = g.left
+        for _, h, (c0, c1, c2) in g.cells():
+            if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
+                raise _not_finite("gamma", value=c0, slope=c1, quad=c2)
+            if c0 - prev < -tol:
+                raise NotMonotone("gamma jumps downward")
+            if h < math.inf:
+                # the derivative of a degree-2 piece is linear: its minimum
+                # over the segment sits at one of the two ends
+                if c1 < -tol or c1 + 2.0 * c2 * h < -tol:
+                    raise NotMonotone("gamma decreases inside a segment")
+                prev = _poly_value((c0, c1, c2), h)
+            else:
+                if c2 < 0.0 or (c2 == 0.0 and c1 < 0.0):
+                    raise NotMonotone("gamma decreases on its last segment")
+                if c2 > 0.0 or c1 > 0.0:
+                    raise RangeViolation("gamma must level off at its upper limit")
+        upper = g.coeffs[-1][0] if g.breaks else g.left
+        if upper > 1.0 + tol:
+            raise RangeViolation("gamma must be <= 1")
+        object.__setattr__(self, "lower", g.left)
+        object.__setattr__(self, "upper", upper)
 
     def value(self, x: float) -> float:
         return self.carrier.value(x)
 
     @staticmethod
     def const(c: float) -> "GammaFn":
-        return validate_gamma(PiecewiseFn.constant(float(c)))
-
-
-@dataclass(frozen=True)
-class EpsilonFn:
-    """Weight into the open band (0, 1/2); no monotonicity requirement."""
-
-    carrier: PiecewiseFn
-
-    def value(self, x: float) -> float:
-        return self.carrier.value(x)
-
-    @staticmethod
-    def const(c: float) -> "EpsilonFn":
-        return validate_epsilon(PiecewiseFn.constant(float(c)))
-
-
-def validate_gamma(g: PiecewiseFn, tol: float = 1e-9) -> GammaFn:
-    """Check the gamma invariants and wrap the carrier.
-
-    Raises NotMonotone on any decrease (jump or slope) and
-    RangeViolation when values leave [0 - tol, 1 + tol] or the function
-    fails to level off on its last segment.
-    """
-    if isinstance(g, GammaFn):
-        return g
-    if g.left < -tol:
-        raise RangeViolation("gamma must be >= 0")
-    prev = g.left
-    for _, h, (c0, c1, c2) in g.cells():
-        if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
-            raise _not_finite("gamma", value=c0, slope=c1, quad=c2)
-        if c0 - prev < -tol:
-            raise NotMonotone("gamma jumps downward")
-        if h < math.inf:
-            # the derivative of a degree-2 piece is linear: its minimum
-            # over the segment sits at one of the two ends
-            if c1 < -tol or c1 + 2.0 * c2 * h < -tol:
-                raise NotMonotone("gamma decreases inside a segment")
-            prev = _poly_value((c0, c1, c2), h)
-        else:
-            if c2 < 0.0 or (c2 == 0.0 and c1 < 0.0):
-                raise NotMonotone("gamma decreases on its last segment")
-            if c2 > 0.0 or c1 > 0.0:
-                raise RangeViolation("gamma must level off at its upper limit")
-    upper = g.coeffs[-1][0] if g.breaks else g.left
-    if upper > 1.0 + tol:
-        raise RangeViolation("gamma must be <= 1")
-    return GammaFn(g, g.left, upper)
+        return GammaFn(PiecewiseFn.constant(c))
 
 
 def _eps_attained(v: float) -> None:
@@ -146,31 +129,53 @@ def _eps_attained(v: float) -> None:
         raise EpsilonOutOfRange("epsilon values must lie strictly inside (0, 1/2)")
 
 
-def validate_epsilon(e: PiecewiseFn) -> EpsilonFn:
-    """Check that every attained value lies strictly inside (0, 1/2).
+@dataclass(frozen=True)
+class EpsilonFn:
+    """Weight into the open band (0, 1/2), checked when built; no
+    monotonicity requirement.
 
-    One-sided limits may touch the band edges without violating the
-    pointwise constraint, so limits are only rejected when they escape
-    the closed band.
+    Every attained value must lie strictly inside (0, 1/2). One-sided
+    limits may touch the band edges without violating the pointwise
+    constraint, so limits are only rejected when they escape the closed
+    band.
     """
-    if isinstance(e, EpsilonFn):
-        return e
-    _eps_attained(e.left)
-    for _, h, (c0, c1, c2) in e.cells():
-        if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
-            raise _not_finite("epsilon", value=c0, slope=c1, quad=c2)
-        _eps_attained(c0)
-        if h < math.inf:
-            llim = _poly_value((c0, c1, c2), h)
-            if llim < 0.0 or llim > 0.5:
-                raise EpsilonOutOfRange("epsilon leaves (0, 1/2) inside a segment")
-            if c2 != 0.0:
-                vertex = -c1 / (2.0 * c2)
-                if 0.0 < vertex < h:
-                    _eps_attained(_poly_value((c0, c1, c2), vertex))
-        elif c1 != 0.0 or c2 != 0.0:
-            raise EpsilonOutOfRange("epsilon must level off on its last segment")
-    return EpsilonFn(e)
+
+    carrier: PiecewiseFn
+
+    def __post_init__(self) -> None:
+        e = self.carrier
+        _eps_attained(e.left)
+        for _, h, (c0, c1, c2) in e.cells():
+            if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
+                raise _not_finite("epsilon", value=c0, slope=c1, quad=c2)
+            _eps_attained(c0)
+            if h < math.inf:
+                llim = _poly_value((c0, c1, c2), h)
+                if llim < 0.0 or llim > 0.5:
+                    raise EpsilonOutOfRange("epsilon leaves (0, 1/2) inside a segment")
+                if c2 != 0.0:
+                    vertex = -c1 / (2.0 * c2)
+                    if 0.0 < vertex < h:
+                        _eps_attained(_poly_value((c0, c1, c2), vertex))
+            elif c1 != 0.0 or c2 != 0.0:
+                raise EpsilonOutOfRange("epsilon must level off on its last segment")
+
+    def value(self, x: float) -> float:
+        return self.carrier.value(x)
+
+    @staticmethod
+    def const(c: float) -> "EpsilonFn":
+        return EpsilonFn(PiecewiseFn.constant(c))
+
+
+def validate_gamma(g: GammaFn | PiecewiseFn, tol: float = 1e-9) -> GammaFn:
+    """g as a GammaFn, which checked itself when it was built."""
+    return g if isinstance(g, GammaFn) else GammaFn(g, tol=tol)
+
+
+def validate_epsilon(e: EpsilonFn | PiecewiseFn) -> EpsilonFn:
+    """e as an EpsilonFn, which checked itself when it was built."""
+    return e if isinstance(e, EpsilonFn) else EpsilonFn(e)
 
 
 def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:

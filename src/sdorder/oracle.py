@@ -61,6 +61,9 @@ class SamplerConfig:
             raise ValueError("sample count must be at least 1")
         if not self.t_grid:
             raise ValueError("threshold grid must be non-empty")
+        for t in self.t_grid:
+            if not math.isfinite(t):
+                raise ValueError(f"t_grid threshold must be finite, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ __all__ = [
     "NonIntegrableTail",
     "PiecewiseFn",
     "crossings",
-    "cum_area",
     "first_negative_point",
-    "total_area",
 ]
 
 
@@ -48,6 +46,21 @@ def _not_finite(what: str, **fields: float) -> ValueError:
     non-finite field, named."""
     name, v = next((k, v) for k, v in fields.items() if not math.isfinite(v))
     return ValueError(f"{what} {name} must be finite, got {v!r}")
+
+
+def _checked_breaks(breaks: tuple[float, ...], what: str) -> tuple[float, ...]:
+    """breaks, once they strictly increase and both ends are finite, with
+    a zero stored as +0.0 so that grids merged from them agree on it."""
+    for a, b in zip(breaks, breaks[1:]):
+        if not a < b:
+            raise ValueError("breakpoints must be strictly increasing")
+    for b in breaks[:1] + breaks[-1:]:  # every other break lies strictly between these
+        if not math.isfinite(b):
+            raise _not_finite(what, breakpoint=b)
+    i = bisect.bisect_left(breaks, 0.0)
+    if breaks[i:i + 1] == (0.0,) and math.copysign(1.0, breaks[i]) < 0.0:
+        return (*breaks[:i], 0.0, *breaks[i + 1:])
+    return breaks
 
 
 def _poly_value(coeff: tuple[float, float, float], d: float) -> float:
@@ -111,10 +124,11 @@ class PiecewiseFn:
     """Right-continuous piecewise polynomial, degree <= 2 per segment.
 
     ``breaks`` is strictly increasing and finite; a zero is stored as
-    +0.0. ``left`` is the finite constant value on ``(-inf, breaks[0])``. ``coeffs[i]`` covers ``[breaks[i], breaks[i+1])``
-    in the local coordinate ``x - breaks[i]``; the final entry covers the
-    unbounded right segment. With no breaks the function is the constant
-    ``left`` everywhere.
+    +0.0. ``left`` is the finite constant value on ``(-inf, breaks[0])``.
+    ``coeffs[i]`` covers ``[breaks[i], breaks[i+1])`` in the local
+    coordinate ``x - breaks[i]``; the final entry covers the unbounded
+    right segment. With no breaks the function is the constant ``left``
+    everywhere.
     """
 
     breaks: tuple[float, ...]
@@ -122,21 +136,11 @@ class PiecewiseFn:
     coeffs: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        bs = self.breaks
-        if len(self.coeffs) != len(bs):
+        if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        for a, b in zip(bs, bs[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "breaks", _checked_breaks(self.breaks, "carrier"))
         if not math.isfinite(self.left):
             raise _not_finite("carrier", left=self.left)
-        for b in bs[:1] + bs[-1:]:  # every other break lies strictly between these
-            if not math.isfinite(b):
-                raise _not_finite("carrier", breakpoint=b)
-        # zero breaks are stored unsigned, so grids merged from carriers agree on them
-        i = bisect.bisect_left(bs, 0.0)
-        if bs[i:i + 1] == (0.0,) and math.copysign(1.0, bs[i]) < 0.0:
-            object.__setattr__(self, "breaks", (*bs[:i], 0.0, *bs[i + 1:]))
         # worked out once: the walks below skip the zero terms of constant cells
         object.__setattr__(self, "_degree", 2 if any(map(_quad, self.coeffs))
                            else 1 if any(map(_slope, self.coeffs)) else 0)
@@ -418,22 +422,6 @@ def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
         coeffs.append((total, c0, half))
         total += h * (c0 + h * half)  # past the unbounded last cell: never read
     return PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
-
-
-def cum_area(f: PiecewiseFn, t: float) -> float:
-    """Integral of f over (-inf, t] in closed form."""
-    return cum_area_fn(f).value(t)
-
-
-def total_area(f: PiecewiseFn) -> float:
-    """Integral of f over the whole line; the last segment must vanish."""
-    if f.left != 0.0:
-        raise NonIntegrableTail("left tail must be identically zero")
-    if not f.breaks:
-        return 0.0
-    if any(c != 0.0 for c in f.coeffs[-1]):
-        raise NonIntegrableTail("right tail must be identically zero")
-    return cum_area_fn(f).value(f.breaks[-1])
 
 
 def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, float],

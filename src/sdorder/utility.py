@@ -24,6 +24,7 @@ from .geometry import pair_geometry, total_area_from_cum
 from .piecewise import (
     DivisionByZeroGamma,
     PiecewiseFn,
+    _checked_breaks,
     _not_finite,
     _poly_max,
     _poly_roots,
@@ -86,14 +87,7 @@ class UtilityPWL:
     def __post_init__(self) -> None:
         if len(self.slopes) != len(self.breaks) + 1:
             raise ValueError("need exactly one more slope than breakpoints")
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        # strictly increasing breaks are finite when both ends are
-        if self.breaks and not (math.isfinite(self.breaks[0])
-                                and math.isfinite(self.breaks[-1])):
-            raise _not_finite("utility", first_break=self.breaks[0],
-                              last_break=self.breaks[-1])
+        object.__setattr__(self, "breaks", _checked_breaks(self.breaks, "utility"))
         for s in self.slopes:
             if not 0.0 <= s < math.inf:
                 raise (ValueError("slopes must be non-negative") if -math.inf < s < 0.0

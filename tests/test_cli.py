@@ -458,6 +458,15 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert "error: --gamma-const" in err
 
+    @pytest.mark.parametrize("value, bound", [("1.5", "<= 1"), ("-0.1", ">= 0")])
+    def test_frac_gamma_const_outside_the_unit_interval(self, spread_files, capsys,
+                                                         value, bound):
+        code, out, err = run(capsys, "check", "--order", "frac",
+                             "--f", spread_files["f"], "--g", spread_files["g"],
+                             "--gamma-const", value)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: --gamma-const: gamma must be {bound}"
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_tolerance(self, crossing_files, capsys, monkeypatch, bad):
         # the pair fails FSD, so a tolerance that swallows everything would

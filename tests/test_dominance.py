@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sdorder as sd
 import support
-from sdorder.dominance import GammaOutOfRange, OrderTag, _settle, _weighted_slack_candidates
+from sdorder.dominance import OrderTag, _settle, _weighted_slack_candidates
 from sdorder.geometry import pair_geometry
 from sdorder.piecewise import DivisionByZeroGamma, merge_grids
 from test_geometry import RAMP, STEP, cdfs
@@ -61,10 +61,26 @@ class TestSecondOrder:
 class TestConstantWeight:
     def test_gamma_outside_unit_interval_rejected(self, spread_pair):
         F, G, _ = spread_pair
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(sd.RangeViolation):
             sd.check_fractional(F, G, 1.5)
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(sd.RangeViolation):
             sd.check_fractional(F, G, -0.1)
+
+    @pytest.mark.parametrize("c", [1 + 5e-10, -5e-10, 1.5, -0.1])
+    def test_range_is_the_membership_range(self, spread_pair, c):
+        F, G, _ = spread_pair
+        u = sd.UtilityPWL((0.0,), (1.0, 1.0))
+
+        def outcome(call):
+            try:
+                call()
+            except sd.RangeViolation:
+                return "RangeViolation"
+            return "accepted"
+
+        frac = outcome(lambda: sd.check_fractional(F, G, c))
+        assert frac == outcome(lambda: sd.check_membership_fractional(u, c))
+        assert (frac == "accepted") == (-1e-9 <= c <= 1 + 1e-9)
 
     def test_spread_pair_fails_below_one(self, spread_pair):
         F, G, _ = spread_pair

@@ -105,6 +105,33 @@ class TestValidateEpsilon:
         assert e.value(1.0) == 0.25
 
 
+class TestWeightsCheckThemselves:
+    """GammaFn and EpsilonFn run their checks when built, so no
+    constructor makes an unchecked weight."""
+
+    def test_gamma_out_of_range_is_refused(self):
+        with pytest.raises(RangeViolation):
+            sd.GammaFn(sd.PiecewiseFn.constant(5.0))
+
+    def test_gamma_limits_come_from_the_carrier(self):
+        with pytest.raises(TypeError):
+            sd.GammaFn(sd.PiecewiseFn.constant(0.5), 5.0, 5.0)
+        g = sd.GammaFn(sd.PiecewiseFn.step((0.0,), (0.25, 0.75)))
+        assert repr(g) == ("GammaFn(carrier=PiecewiseFn(breaks=(0.0,), left=0.25, "
+                           "coeffs=((0.75, 0.0, 0.0),)), lower=0.25, upper=0.75)")
+
+    def test_gamma_tolerance_is_a_keyword(self):
+        c = sd.PiecewiseFn.constant(1.0 + 1e-6)
+        with pytest.raises(RangeViolation):
+            sd.GammaFn(c)
+        assert sd.GammaFn(c, tol=1e-5) == sd.validate_gamma(c, 1e-5)
+        assert sd.GammaFn(c, tol=1e-5).upper == 1.0 + 1e-6
+
+    def test_epsilon_out_of_band_is_refused(self):
+        with pytest.raises(EpsilonOutOfRange):
+            sd.EpsilonFn(sd.PiecewiseFn.constant(0.9))
+
+
 class TestMinGamma:
     def test_two_point_spread_envelope(self):
         F, G, _ = sd.example_identical_means(2.0, 1.0)

@@ -52,6 +52,9 @@ class TestSamplerConfig:
             sd.SamplerConfig(t_grid=(), count=10)
         with pytest.raises(ValueError):
             sd.SamplerConfig(t_grid=(0.0,), count=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t_grid"):
+                sd.SamplerConfig(t_grid=(1.0, bad))
 
 
 class TestGradedSampler:

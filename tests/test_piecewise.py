@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdorder.geometry import total_area_from_cum
 from sdorder.piecewise import (
     DivisionByZeroGamma,
     NonIntegrableTail,
@@ -13,12 +14,10 @@ from sdorder.piecewise import (
     _poly_value,
     compress,
     crossings,
-    cum_area,
     cum_area_fn,
     first_negative_point,
     merge_grids,
     signed_parts,
-    total_area,
     weighted_area_fn_values,
 )
 
@@ -353,7 +352,7 @@ def _simpson_area(f: PiecewiseFn) -> float:
 @given(linear_pwl(compact=True))
 @settings(max_examples=60, deadline=None)
 def test_total_area_matches_quadrature(f):
-    assert total_area(f) == pytest.approx(_simpson_area(f), abs=1e-9)
+    assert total_area_from_cum(cum_area_fn(f)) == pytest.approx(_simpson_area(f), abs=1e-9)
 
 
 @given(linear_pwl(compact=True))
@@ -364,17 +363,15 @@ def test_cumulative_area_is_continuous_antiderivative(f):
         assert C.left_limit(b) == pytest.approx(C.value(b), abs=1e-12)
     run = 0.0
     for a, b in zip(f.breaks, f.breaks[1:]):
-        assert cum_area(f, a) == pytest.approx(run, abs=1e-9)
+        assert C.value(a) == pytest.approx(run, abs=1e-9)
         m = (a + b) / 2.0
         run += (b - a) / 6.0 * (f.value(a) + 4.0 * f.value(m) + f.left_limit(b))
-    assert cum_area(f, f.breaks[-1]) == pytest.approx(run, abs=1e-9)
+    assert C.value(f.breaks[-1]) == pytest.approx(run, abs=1e-9)
 
 
 def test_integration_rejects_bad_tails():
     with pytest.raises(NonIntegrableTail):
-        total_area(PiecewiseFn((0.0,), 1.0, ((0.0, 0.0, 0.0),)))
-    with pytest.raises(NonIntegrableTail):
-        total_area(PiecewiseFn((0.0,), 0.0, ((1.0, 0.0, 0.0),)))
+        cum_area_fn(PiecewiseFn((0.0,), 1.0, ((0.0, 0.0, 0.0),)))
     with pytest.raises(ValueError):
         cum_area_fn(PiecewiseFn((0.0, 1.0), 0.0,
                                 ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))))
@@ -398,7 +395,7 @@ def test_weighted_area_log_branch():
 def test_weighted_area_constant_weight_reduces_to_division():
     f = PiecewiseFn((0.0, 2.0), 0.0, ((0.5, 0.25, 0.0), (0.0, 0.0, 0.0)))
     w = PiecewiseFn.constant(0.5)
-    plain = cum_area(f, 2.0)
+    plain = cum_area_fn(f).value(2.0)
     assert _weighted_at(f, w, 2.0) == pytest.approx(plain / 0.5, abs=1e-12)
 
 

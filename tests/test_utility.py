@@ -48,14 +48,21 @@ class TestUtilityPWL:
         ("anchor_value", lambda v: ((0.0,), (1.0, 1.0), (0.0, v))),
     ])
     def test_rejects_non_finite_fields(self, field, args, bad):
-        with pytest.raises(ValueError, match=f"utility {field} must be finite"):
+        # either end of the breaks gets the breakpoint gate's message
+        name = "breakpoint" if field == "first_break" else field
+        with pytest.raises(ValueError, match=f"utility {name} must be finite"):
             sd.UtilityPWL(*args(bad))
 
-    @pytest.mark.parametrize("breaks, field", [((-math.inf, 0.0), "first_break"),
-                                               ((0.0, math.inf), "last_break")])
-    def test_rejects_an_infinite_end_of_increasing_breaks(self, breaks, field):
-        with pytest.raises(ValueError, match=f"utility {field} must be finite"):
+    @pytest.mark.parametrize("breaks, end", [((-math.inf, 0.0), "first_break"),
+                                             ((0.0, math.inf), "last_break")])
+    def test_rejects_an_infinite_end_of_increasing_breaks(self, breaks, end):
+        with pytest.raises(ValueError, match="utility breakpoint must be finite"):
             sd.UtilityPWL(breaks, (1.0, 1.0, 1.0))
+
+    def test_a_zero_break_is_stored_unsigned(self):
+        u = sd.UtilityPWL((-0.0, 1.0), (1.0, 0.5, 0.25))
+        assert math.copysign(1.0, u.breaks[0]) == 1.0
+        assert u == sd.UtilityPWL((0.0, 1.0), (1.0, 0.5, 0.25))
 
     def test_value_integrates_slopes_from_anchor(self):
         u = sd.UtilityPWL((0.0, 1.0), (2.0, 1.0, 0.0), anchor=(0.0, 5.0))
