@@ -15,8 +15,10 @@ matching the weak inequalities that define the orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from enum import Enum
+from functools import reduce
+from itertools import chain
 
 from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
@@ -27,6 +29,7 @@ from .piecewise import (
     merge_grids,
     signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
     weighted_area_fn_values,
+    weighted_cell_areas,
 )
 
 __all__ = [
@@ -50,83 +53,117 @@ class OrderTag(Enum):
     EASD = "EASD"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of one dominance check.
+    """Outcome of one dominance check: margin is the minimal slack
+    rhs - lhs of the defining inequality over all t, and the check holds
+    iff margin >= -tol. witness_t attains the margin (None only for the
+    single-inequality order). diagnostics lists (t, lhs, rhs) at every
+    candidate the scan inspected; it is given as the rows or as a callable
+    that builds them on first read. Repr, ==, hash and pickle read the
+    rows, and no field can be set."""
 
-    margin is the minimal slack rhs - lhs of the defining inequality
-    over all t; the check holds iff margin >= -tol. witness_t attains
-    the margin (None only for the single-inequality order, which has no
-    per-t structure). diagnostics lists (t, lhs, rhs) at every candidate
-    the scan inspected.
-    """
+    __slots__ = ("holds", "witness_t", "margin", "order_tag", "_rows")
 
-    holds: bool
-    witness_t: float | None
-    margin: float
-    order_tag: OrderTag
-    diagnostics: tuple[tuple[float, float, float], ...]
+    def __init__(self, holds, witness_t, margin, order_tag, diagnostics) -> None:
+        for name, value in zip(self.__slots__, (holds, witness_t, margin, order_tag, diagnostics)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def diagnostics(self) -> tuple[tuple[float, float, float], ...]:
+        if callable(self._rows):
+            object.__setattr__(self, "_rows", self._rows())
+        return self._rows
+
+    def __reduce__(self) -> tuple:
+        return Verdict, (self.holds, self.witness_t, self.margin, self.order_tag, self.diagnostics)
+
+    def __repr__(self) -> str:
+        names = (*self.__slots__[:4], "diagnostics")
+        return f"Verdict({', '.join(map('{}={!r}'.format, names, self.__reduce__()[1]))})"
+
+    def __eq__(self, other: object) -> bool:
+        return (self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 
-def _settle(tag: OrderTag, rows: list[tuple[float, float, float]], limits,
-            tol: float) -> Verdict:
-    """Verdict over the candidate rows (t, lhs, rhs); limits holds the
-    indices of the rows whose value is approached from below t, not
-    taken at t itself."""
-    slack = [r - l for _, l, r in rows]
+def _settle(tag: OrderTag, slack: list[float], row, place, rows, tol: float) -> Verdict:
+    """Verdict from the slack rhs - lhs of every candidate. row(i) is
+    candidate i as (t, lhs, rhs) and place(i) is (limit, t), limit telling
+    that its value is approached from below t; rows() builds them all."""
     margin = min(slack)
-    # Among the rows within tol of the margin, prefer witnesses where the
-    # inequality is active with real mass on both sides, then points over
-    # one-sided limits, then the leftmost location.
-    best = min(((abs(rows[i][1]) + abs(rows[i][2]) <= tol, i in limits, rows[i][0])
-                for i, s in enumerate(slack) if s - margin <= tol), default=None)
-    return Verdict(margin >= -tol, best[2] if best else None, margin, tag, tuple(rows))
+    # Among the rows within tol of the margin, prefer witnesses with real mass
+    # on both sides, then points over one-sided limits, then the leftmost.
+    near = sorted((i for i, s in enumerate(slack) if s - margin <= tol), key=place)
+    massive = (i for i in near for _, l, r in (row(i),) if not abs(l) + abs(r) <= tol)
+    best = next(massive, near[0] if near else None)
+    return Verdict(margin >= -tol, None if best is None else place(best)[1], margin, tag, rows)
 
 
 def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
-    rows = []
-    for b, (gv, gl), (fv, fl) in zip(grid, G.carrier._values_on(grid),
-                                     F.carrier._values_on(grid)):
-        rows += ((b, gv, fv), (b, gl, fl))
-    return _settle(OrderTag.FSD, rows, range(1, len(rows), 2), tol)
+    # candidates 2k and 2k + 1: the value and the left limit at grid[k]
+    gv, fv, flat = G.carrier._values_on(grid), F.carrier._values_on(grid), chain.from_iterable
+    return _settle(OrderTag.FSD, [*map(operator.sub, flat(fv), flat(gv))],
+                   lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
+                   lambda i: (i & 1, grid[i >> 1]),
+                   lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)
 
 
-def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: PiecewiseFn
-                               ) -> tuple[list[tuple[float, float, float]], set[int] | range]:
-    """Candidate rows for the slack gamma(t) * surplus(t) - deficit(t),
-    and the indices of the left-limit rows among them.
-
+def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: PiecewiseFn):
+    """(slack, row, place, rows) for _settle; the slack is gamma(t) *
+    surplus(t) - deficit(t). Candidate 0 is the left limit at the first
+    break, 2k + 1 and 2k + 2 the start of cell k and the left limit at its
+    end; the start of the unbounded cell and the stationary points follow.
     On deficit stretches the surplus side is frozen, so the slack's
     derivative is linear there and its lone stationary point is solved
-    exactly; everywhere else the slack is monotone on each cell.
-    """
+    exactly; everywhere else the slack is monotone on each cell."""
     grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
-    rows = [(grid[0], An.left, gamma.left * Ap.left)]
-    # Each cell adds its start, then its left limit at the next break. A
-    # stationary point, which needs a quadratic weight or deficit, would
-    # follow it and move the later limits off the even rows.
-    curved = gamma.degree() > 1 or An.degree() > 1
-    limits = {0} if curved else range(0, 2 * len(grid) - 1, 2)
+    first = grid[0], An.left, gamma.left * Ap.left
+    last = grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]
+    slack = [first[2] - first[1]]
+    inner = {}  # cell -> offset of its stationary point
     # bounded cells: a left limit sits at the next break itself, not at b + h
-    bounded = zip(grid, grid[1:], apc, anc, gmc)
-    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in bounded:
+    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in zip(grid, grid[1:], apc, anc, gmc):
         h = end - b
-        rows += ((b, n0, g0 * a0), (end, n0 + h * (n1 + h * n2),
-                                    (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2))))
-        if curved:
-            limits.add(len(rows) - 1)
+        slack += (g0 * a0 - n0, (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2))
+                  - (n0 + h * (n1 + h * n2)))
+        if (g2 or n2) and (n1 != 0.0 or n2 != 0.0):
             # slack' = gamma'(d) * surplus - deficit'(d), linear in d
-            c = g1 * a0 - n1
             s = 2.0 * (g2 * a0 - n2)
-            if (n1 != 0.0 or n2 != 0.0) and s != 0.0:
-                d = -c / s
-                if 0.0 < d < h:
-                    rows.append((b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0))
+            d = -(g1 * a0 - n1) / s if s != 0.0 else h
+            if 0.0 < d < h:
+                inner[len(slack) // 2 - 1] = d
     # past the last break nothing accrues: its start is the last candidate
-    rows.append((grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]))
-    return rows, limits
+    slack.append(last[2] - last[1])
+
+    def cell(k: int) -> list[tuple[float, float, float]]:  # start, end's limit, stationary point
+        b, end, d = grid[k], grid[k + 1], inner.get(k)
+        (a0, a1, a2), (n0, n1, n2), (g0, g1, g2), h = apc[k], anc[k], gmc[k], end - b
+        out = [(b, n0, g0 * a0), (end, n0 + h * (n1 + h * n2),
+                                  (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)))]
+        if d is not None:
+            out.append((b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0))
+        return out
+
+    n, curved = len(slack), [*inner]
+    slack += [r - l for k in curved for _, l, r in (cell(k)[2],)]
+
+    def row(i: int) -> tuple[float, float, float]:
+        k, end = divmod(i - 1, 2)
+        return (cell(curved[i - n])[2] if i >= n else first if k < 0
+                else last if i == n - 1 else cell(k)[end])
+
+    return (slack, row, lambda i: (not i & 1, grid[i >> 1]) if i < n else (False, row(i)[0]),
+            lambda: (first, *chain.from_iterable(map(cell, range(n // 2 - 1))), last))
 
 
 def _graded(tag: OrderTag, F: Distribution, G: Distribution, gamma: PiecewiseFn,
@@ -144,15 +181,14 @@ def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
 def check_fractional(F: Distribution, G: Distribution, gamma: float,
                      tol: float = 1e-9) -> Verdict:
     """Constant-weight order: deficit(t) <= gamma * surplus(t) for all t.
-    The graded order under GammaFn.const(gamma), whose range it shares."""
-    return _graded(OrderTag.FRAC, F, G, GammaFn.const(gamma).carrier, tol)
+    The graded order under that constant weight, checked under tol."""
+    return _graded(OrderTag.FRAC, F, G, GammaFn(PiecewiseFn.constant(gamma), tol=tol).carrier, tol)
 
 
 def check_mfsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
                tol: float = 1e-9) -> Verdict:
     """Graded order: deficit(t) <= gamma(t) * surplus(t) for all t."""
-    gf = validate_gamma(g)
-    return _graded(OrderTag.MFSD, F, G, gf.carrier, tol)
+    return _graded(OrderTag.MFSD, F, G, validate_gamma(g, tol).carrier, tol)
 
 
 def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
@@ -163,25 +199,23 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     mass and are accepted; a zero at or after it raises
     DivisionByZeroGamma.
     """
-    gf = validate_gamma(g)
-    geom = pair_geometry(F, G)
+    gf, geom = validate_gamma(g, tol), pair_geometry(F, G)
     grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
     # Ap at every node from one walk: c0 there is the number value gives
-    rows = list(zip(grid, weighted, [c[0] for c in geom.Ap._coeffs_on(grid)]))
+    ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
     # beyond the last break both sides are frozen, so the final node
     # already carries the t -> infinity comparison
-    return _settle(OrderTag.FFSD, rows, (), tol)
+    return _settle(OrderTag.FFSD, [*map(operator.sub, ap, weighted)],
+                   lambda i: (grid[i], weighted[i], ap[i]), lambda i: (False, grid[i]),
+                   lambda: tuple(zip(grid, weighted, ap)), tol)
 
 
 def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
                tol: float = 1e-9) -> Verdict:
     """Single-inequality order: the 1/epsilon-inflated total deficit must
     not exceed the total variation between the CDFs."""
-    ef = validate_epsilon(e)
-    geom = pair_geometry(F, G)
-    _, weighted = weighted_area_fn_values(geom.neg, ef.carrier)
-    lhs = weighted[-1] if weighted else 0.0
+    ef, geom = validate_epsilon(e), pair_geometry(F, G)
+    lhs = reduce(operator.add, weighted_cell_areas(geom.neg, ef.carrier)[1], 0.0)
     rhs = geom.surplus + geom.deficit
     margin = rhs - lhs
-    return Verdict(margin >= -tol, None, margin, OrderTag.EASD,
-                   ((math.inf, lhs, rhs),))
+    return Verdict(margin >= -tol, None, margin, OrderTag.EASD, ((math.inf, lhs, rhs),))

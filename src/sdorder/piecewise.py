@@ -19,6 +19,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "DivisionByZeroGamma",
@@ -444,26 +445,31 @@ def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, 
     return (n1 / g1) * h + (n0 - n1 * g0 / g1) * log_term
 
 
-def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Cumulative integral of f(x)/w(x), returned as grid values.
-
-    Returns (grid, cumulative at each grid point), where grid is the
-    union of both break sets. f must have a zero left tail. Between grid
-    points the cumulative is monotone (f keeps one sign there after the
-    caller's refinement), so these node values support exact min scans.
-    """
+def weighted_cell_areas(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], Iterator[float]]:
+    """grid, the union of both break sets, and the integral of f(x)/w(x)
+    over each of its cells, lazily; f has no mass on the unbounded ends."""
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
     grid, (fc, wc) = common_grid(f, w)
-    total = 0.0
-    out = []
-    for h, num, den in zip(_widths(grid), fc, wc):
-        out.append(total)
-        if any(num):
-            if h == math.inf:
-                raise NonIntegrableTail("right tail must be identically zero")
-            total += _weighted_segment(num, den, h)
-    return grid, tuple(out)
+    flat = not (f._degree or w._degree)
+
+    def area(h: float, num: tuple[float, float, float], den: tuple[float, float, float]) -> float:
+        if not any(num):
+            return 0.0
+        if h == math.inf:
+            raise NonIntegrableTail("right tail must be identically zero")
+        # constant pieces skip _weighted_segment's tests; its sum differs at most in a zero's sign
+        return num[0] * h / den[0] if flat and den[0] > 0.0 else _weighted_segment(num, den, h)
+
+    return grid, map(area, _widths(grid), fc, wc)
+
+
+def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(grid, cumulative integral of f(x)/w(x) at each point) on the grid
+    of weighted_cell_areas; monotone in between, so min scans are exact."""
+    grid, areas = weighted_cell_areas(f, w)
+    # the last cell carries no mass, so the total past it is not a node
+    return grid, tuple(accumulate(areas, initial=0.0))[:-1]
 
 
 def crossings(f: PiecewiseFn, tol: float = 0.0) -> list[float]:

@@ -149,6 +149,29 @@ def test_ffsd_under_weight_one_is_ssd(F, G):
     assert sd.check_ffsd(F, G, one, TOL).holds == sd.check_ssd(F, G, TOL).holds
 
 
+# the benchmark's FFSD step weight: 1/2, then 3/4 from -1/2, then 1 from 1/2
+BENCH_STEP = sd.GammaFn(sd.PiecewiseFn.step((-0.5, 0.5), (0.5, 0.75, 1.0)))
+MIXED_ORDERS = {
+    "fsd": sd.check_fsd,
+    "ssd": sd.check_ssd,
+    "frac": lambda F, G, tol: sd.check_fractional(F, G, 0.5, tol),
+    "ffsd": lambda F, G, tol: sd.check_ffsd(F, G, BENCH_STEP, tol),
+    "easd": lambda F, G, tol: sd.check_easd(F, G, sd.EpsilonFn.const(0.25), tol),
+}
+
+
+@given(cdfs(), cdfs(), cdfs(), st.sampled_from([0.25, 1 / 3, 0.5, 0.75]))
+@RUNS
+def test_mixing_in_a_common_distribution_keeps_every_clear_verdict(F, G, H, a):
+    """a F + (1 - a) H against a G + (1 - a) H scales both sides of every
+    inequality by a, so a verdict away from its tie cannot move."""
+    mixed = [sd.mixture([D, H], [a, 1 - a]) for D in (F, G)]
+    for name, check in MIXED_ORDERS.items():
+        v = check(F, G, TOL)
+        if abs(v.margin) > 1e-6:
+            assert check(*mixed, TOL).holds == v.holds, name
+
+
 def test_the_cdf_strategy_draws_every_kind_of_pair():
     """The draws above reach both verdicts and both CDF shapes."""
     seen = set()

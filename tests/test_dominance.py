@@ -82,6 +82,17 @@ class TestConstantWeight:
         assert frac == outcome(lambda: sd.check_membership_fractional(u, c))
         assert (frac == "accepted") == (-1e-9 <= c <= 1 + 1e-9)
 
+    def test_a_bare_weight_is_checked_under_the_given_tol(self):
+        F = sd.from_samples([0, 1])
+        near, far = 1 + 1e-6, 1 + 1e-2
+        assert sd.check_fractional(F, F, near, tol=1e-3).holds
+        for check in (sd.check_mfsd, sd.check_ffsd):
+            assert check(F, F, sd.PiecewiseFn.constant(near), tol=1e-3).holds
+            with pytest.raises(sd.RangeViolation):
+                check(F, F, sd.PiecewiseFn.constant(far), tol=1e-3)
+        with pytest.raises(sd.RangeViolation):
+            sd.check_fractional(F, F, far, tol=1e-3)
+
     def test_spread_pair_fails_below_one(self, spread_pair):
         F, G, _ = spread_pair
         for c in (0.0, 0.5, 0.99):
@@ -207,7 +218,8 @@ def _settle_by_flagged_candidates(rows, limits, tol):
                 min_size=1, max_size=12),
        st.sets(st.integers(0, 11)), st.sampled_from([0.0, 1e-9, 0.25]))
 def test_settle_picks_the_witness_the_flagged_scan_picks(rows, limits, tol):
-    v = _settle(OrderTag.SSD, rows, limits, tol)
+    v = _settle(OrderTag.SSD, [r - l for _, l, r in rows], rows.__getitem__,
+                lambda i: (i in limits, rows[i][0]), lambda: tuple(rows), tol)
     assert repr((v.holds, v.witness_t, v.margin)) == repr(
         _settle_by_flagged_candidates(rows, limits, tol))
     assert v.diagnostics == tuple(rows)
@@ -226,10 +238,11 @@ def test_ffsd_reads_the_surplus_that_point_evaluation_gives(F, G):
 @given(cdfs(), cdfs(), st.sampled_from([RAMP, STEP, sd.GammaFn.const(1.0 / 3.0)]))
 def test_left_limit_rows_are_the_cell_ends(F, G, gamma):
     geom = pair_geometry(F, G)
-    rows, limits = _weighted_slack_candidates(geom.Ap, geom.An, gamma.carrier)
+    slack, row, place, _ = _weighted_slack_candidates(geom.Ap, geom.An, gamma.carrier)
+    rows = [row(i) for i in range(len(slack))]
     # a left limit closes each bounded cell at the break where the next starts
     grid = merge_grids(geom.grid, gamma.carrier.breaks)
-    ends = [i for i in range(len(rows)) if i in limits]
+    ends = [i for i in range(len(rows)) if place(i)[0]]
     assert ends[0] == 0 and len(ends) == len(grid)
     assert [rows[i][0] for i in ends[1:]] == list(grid[1:])
     assert all(rows[i - 1][0] < rows[i][0] for i in ends[1:])
