@@ -45,18 +45,63 @@ class ShiftCollapse(ValueError):
                          f"and {b!r} onto {a + shift!r} and {b + shift!r}")
 
 
+def _unchecked(carrier: PiecewiseFn, mean: float, left_support: float) -> "Distribution":
+    """A Distribution over a carrier known to be a CDF, without the check."""
+    d = object.__new__(Distribution)
+    d.__dict__.update(carrier=carrier, mean=mean, left_support=left_support)
+    return d
+
+
 def _left_support(carrier: PiecewiseFn) -> float:
     return next((b for b, (c0, c1, _) in zip(carrier.breaks, carrier.coeffs)
                  if c0 > 0.0 or c1 > 0.0), math.inf)
 
 
+def _cdf_mean(carrier: PiecewiseFn, tol: float) -> float:
+    """The mean of carrier, once it is checked to be a CDF (see from_cdf)."""
+    degree = carrier.degree()
+    if degree > 1:
+        raise ValueError("a CDF is flat or linear between breakpoints")
+    if not carrier.breaks:
+        raise ValueError("a CDF needs at least one breakpoint")
+    if carrier.left != 0.0:
+        raise ValueError("a CDF must be 0 before its first breakpoint")
+    c0, c1, _ = carrier.coeffs[-1]
+    if c1 != 0.0 or abs(c0 - 1.0) > tol:
+        raise ValueError("a CDF must reach 1 at its last breakpoint and stay there")
+    # The mean is the Stieltjes integral of x dF: atoms at breakpoints,
+    # uniform mass on linear pieces. The final segment is flat, so the
+    # sum is finite.
+    mu = 0.0
+    prev = carrier.left
+    for b, h, c in carrier.cells():
+        if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+            raise _not_finite("CDF", value=c[0], slope=c[1])
+        jump = c[0] - prev
+        if jump < -tol:
+            raise ValueError("a CDF cannot jump downward")
+        if c[1] < -tol:
+            raise ValueError("a CDF cannot have negative density")
+        if jump != 0.0:
+            mu += b * jump
+        if c[1] != 0.0:
+            mu += c[1] * h * (b + h / 2)
+        prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
+    return mu
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """Validated CDF with cached mean and left support endpoint."""
+    """Validated CDF with cached mean and left support endpoint. The
+    constructor checks carrier as `from_cdf` does under its default tol,
+    and takes mean and left_support as given."""
 
     carrier: PiecewiseFn
     mean: float
     left_support: float
+
+    def __post_init__(self) -> None:
+        _cdf_mean(self.carrier, 1e-9)
 
     @staticmethod
     def from_cdf(carrier: PiecewiseFn, tol: float = 1e-9) -> "Distribution":
@@ -67,35 +112,7 @@ class Distribution:
         flat or linear pieces, and stay flat at 1 after its last
         breakpoint.
         """
-        degree = carrier.degree()
-        if degree > 1:
-            raise ValueError("a CDF is flat or linear between breakpoints")
-        if not carrier.breaks:
-            raise ValueError("a CDF needs at least one breakpoint")
-        if carrier.left != 0.0:
-            raise ValueError("a CDF must be 0 before its first breakpoint")
-        c0, c1, _ = carrier.coeffs[-1]
-        if c1 != 0.0 or abs(c0 - 1.0) > tol:
-            raise ValueError("a CDF must reach 1 at its last breakpoint and stay there")
-        # The mean is the Stieltjes integral of x dF: atoms at breakpoints,
-        # uniform mass on linear pieces. The final segment is flat, so the
-        # sum is finite.
-        mu = 0.0
-        prev = carrier.left
-        for b, h, c in carrier.cells():
-            if not (math.isfinite(c[0]) and math.isfinite(c[1])):
-                raise _not_finite("CDF", value=c[0], slope=c[1])
-            jump = c[0] - prev
-            if jump < -tol:
-                raise ValueError("a CDF cannot jump downward")
-            if c[1] < -tol:
-                raise ValueError("a CDF cannot have negative density")
-            if jump != 0.0:
-                mu += b * jump
-            if c[1] != 0.0:
-                mu += c[1] * h * (b + h / 2)
-            prev = _poly_value(c, h) if degree else c[0]  # past the last cell: never read
-        return Distribution(carrier, mu, _left_support(carrier))
+        return _unchecked(carrier, _cdf_mean(carrier, tol), _left_support(carrier))
 
     def cdf(self, x: float) -> float:
         return self.carrier.value(x)
@@ -179,7 +196,7 @@ def shift(F: Distribution, c: float) -> Distribution:
     except ValueError:
         a, b = next((a, b) for a, b in zip(bs, bs[1:]) if not a + c < b + c)
         raise ShiftCollapse(c, a, b) from None
-    return Distribution(carrier, F.mean + c, F.left_support + c)
+    return _unchecked(carrier, F.mean + c, F.left_support + c)
 
 
 def mixture(components: list[Distribution], weights: list[float],
@@ -195,7 +212,7 @@ def mixture(components: list[Distribution], weights: list[float],
     for comp, w in zip(components[1:], weights[1:]):
         carrier = carrier.add(comp.carrier.scale(w))
     mu = sum(w * comp.mean for comp, w in zip(components, weights))
-    return Distribution(carrier, mu, _left_support(carrier))
+    return _unchecked(carrier, mu, _left_support(carrier))
 
 
 def convolve(F: DiscretePMF, Z: DiscretePMF) -> DiscretePMF:

@@ -1,8 +1,8 @@
-"""The geometry of a pair (F, G): F - G and its cumulative surplus and
-deficit, which every order compares. `pair_geometry` keeps the geometry
-of the last pair it was asked for, so successive calls on the same F and
-G objects, in either order, difference the pair once and share every
-view built since.
+"""The geometry of a pair (F, G): F - G, its sign runs and its cumulative
+surplus and deficit, which every order compares. `pair_geometry` keeps
+the geometry of the last pair it was asked for, so successive calls on
+the same F and G objects, in either order, difference the pair once and
+share every view built since.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .distributions import Distribution
 from .piecewise import PiecewiseFn, cum_area_fn, signed_parts
@@ -22,9 +24,10 @@ def total_area_from_cum(cum: PiecewiseFn) -> float:
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """F - G, its sign-pure parts and their cumulative areas. diff, pos
-    and neg are built with the object; every other view on first use,
-    once for as long as the geometry is shared."""
+    """F - G, its sign-pure parts, its sign runs and the cumulative areas
+    of the parts. diff, pos and neg are built with the object; every other
+    view on first use, once for as long as the geometry is shared. A base
+    type reads the sign runs, not the cells: its slope changes only there."""
 
     diff: PiecewiseFn
     pos: PiecewiseFn
@@ -36,9 +39,13 @@ class PairGeometry:
         return self.neg.breaks
 
     @cached_property
-    def neg_flags(self) -> tuple[bool, ...]:
-        """Whether the difference is negative on each grid cell."""
-        return tuple(map(any, self.neg.coeffs))
+    def neg_runs(self) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+        """Sign runs: the start of each maximal run of grid cells on which
+        diff is negative, or is not, and whether that run is negative.
+        Runs alternate; the left tail, where diff is zero, is in none."""
+        cells = zip(self.neg.breaks, map(any, self.neg.coeffs))
+        runs = [next(run) for _, run in groupby(cells, key=itemgetter(1))]
+        return tuple(b for b, _ in runs), tuple(n for _, n in runs)
 
     @cached_property
     def Ap(self) -> PiecewiseFn:

@@ -25,8 +25,6 @@ __all__ = [
     "DivisionByZeroGamma",
     "NonIntegrableTail",
     "PiecewiseFn",
-    "crossings",
-    "first_negative_point",
 ]
 
 
@@ -470,28 +468,3 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
     grid, areas = weighted_cell_areas(f, w)
     # the last cell carries no mass, so the total past it is not a node
     return grid, tuple(accumulate(areas, initial=0.0))[:-1]
-
-
-def crossings(f: PiecewiseFn, tol: float = 0.0) -> list[float]:
-    """Points where f changes sign (start of each newly signed region).
-
-    Runs of zero between regions of equal sign do not produce crossings;
-    a transition across a zero run is attributed to the start of the
-    later signed region.
-    """
-    g, prev, signs = _cell_signs(f, tol)
-    out: list[float] = []
-    for b, s in zip(g.breaks, signs):
-        if s:
-            if prev and s != prev:
-                out.append(b)
-            prev = s
-    return out
-
-
-def first_negative_point(f: PiecewiseFn, tol: float = 0.0) -> float:
-    """Infimum of the support of the negative part; +inf when none."""
-    g, sl, signs = _cell_signs(f, tol)
-    if sl < 0:
-        return -math.inf
-    return next((b for b, s in zip(g.breaks, signs) if s < 0), math.inf)

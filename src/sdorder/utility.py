@@ -100,10 +100,6 @@ class UtilityPWL:
         """Right derivative at x."""
         return self.slopes[bisect.bisect_right(self.breaks, x)]
 
-    def left_slope_at(self, x: float) -> float:
-        """Left derivative at x (= previous segment's slope at breakpoints)."""
-        return self.slopes[bisect.bisect_left(self.breaks, x)]
-
     def increment(self, lo: float, hi: float) -> float:
         """u(hi) - u(lo) for lo <= hi, as an exact slope-overlap sum.
 
@@ -180,33 +176,33 @@ def make_base_mf(t: float, F: Distribution, G: Distribution,
     Slope gamma(t) wherever the CDF difference is non-negative (up to
     t), slope 1 where it is negative, flat after t; anchored to 0 at t.
     Its expected-utility gap against (F, G) equals
-    gamma(t) * surplus(t) - deficit(t) exactly.
+    gamma(t) * surplus(t) - deficit(t) exactly. The slope changes only
+    where a sign run starts, so only the runs left of t are read.
     """
     gt = validate_gamma(g).value(t)
-    geom = pair_geometry(F, G)
-    breaks: list[float] = []
-    slopes: list[float] = [gt]
-    for b, is_neg in zip(geom.grid, geom.neg_flags):
-        if b >= t:
-            break
-        breaks.append(b)
-        slopes.append(1.0 if is_neg else gt)
-    cb, cs = _compress(breaks + [t], slopes + [0.0])
+    starts, negs = pair_geometry(F, G).neg_runs
+    k = bisect.bisect_left(starts, True, key=lambda b: b >= t)  # a NaN t keeps every run
+    cb, cs = _compress([*starts[:k], t], [gt, *(1.0 if n else gt for n in negs[:k]), 0.0])
     return UtilityPWL(cb, cs, anchor=(t, 0.0), provenance="base_mf")
 
 
 def _reweighted_slopes(F: Distribution, G: Distribution, w: PiecewiseFn, t: float,
                        name: str, slope) -> tuple[list[float], list[float]]:
-    """Breaks and slopes left of t: 1 on cells where F - G is non-negative,
-    slope(w) on negative cells, where w must be constant and positive."""
-    grid, (ng, wm) = common_grid(pair_geometry(F, G).neg, w)
+    """Breaks and slopes left of t: 1 where F - G is non-negative, slope(w)
+    where it is negative, there w must be constant and positive. w is read
+    at the sign-run starts and its own breaks, where alone either changes."""
+    starts, negs = pair_geometry(F, G).neg_runs
+    runs = dict(zip(starts, negs))
+    grid, (wm,) = common_grid(w, extra=starts)
     breaks: list[float] = []
     slopes: list[float] = [1.0]
-    for b, neg, (w0, w1, w2) in zip(grid, ng, wm):
+    neg = False
+    for b, (w0, w1, w2) in zip(grid, wm):
         if b >= t:
             break
+        neg = runs.get(b, neg)
         s = 1.0
-        if any(neg):
+        if neg:
             if w1 != 0.0 or w2 != 0.0:
                 raise NonStepGammaOnNegativeRegion(
                     f"{name} varies on a cell where the difference is negative")

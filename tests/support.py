@@ -6,10 +6,11 @@ bookkeeping stays exact in binary floating point and verdicts never
 wobble near tolerance boundaries.
 """
 
+import math
 import random
 
 import sdorder as sd
-from sdorder.piecewise import signed_parts
+from sdorder.piecewise import _cell_signs, signed_parts
 
 GRID = [k / 8.0 for k in range(-32, 33)]
 
@@ -131,3 +132,28 @@ def gamma_max(g1: sd.GammaFn, g2: sd.GammaFn) -> sd.GammaFn:
     """Pointwise maximum of two weights (still non-decreasing)."""
     pos, _ = signed_parts(g2.carrier.sub(g1.carrier))
     return sd.validate_gamma(g1.carrier.add(pos))
+
+
+def crossings(f: sd.PiecewiseFn, tol: float = 0.0) -> list[float]:
+    """Points where f changes sign (start of each newly signed region).
+
+    Runs of zero between regions of equal sign do not produce crossings;
+    a transition across a zero run is attributed to the start of the
+    later signed region.
+    """
+    g, prev, signs = _cell_signs(f, tol)
+    out: list[float] = []
+    for b, s in zip(g.breaks, signs):
+        if s:
+            if prev and s != prev:
+                out.append(b)
+            prev = s
+    return out
+
+
+def first_negative_point(f: sd.PiecewiseFn, tol: float = 0.0) -> float:
+    """Infimum of the support of the negative part; +inf when none."""
+    g, sl, signs = _cell_signs(f, tol)
+    if sl < 0:
+        return -math.inf
+    return next((b for b, s in zip(g.breaks, signs) if s < 0), math.inf)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import sdorder as sd
 import support
+from sdorder import distributions
 from sdorder.distributions import EmptyInput, ShiftCollapse, WeightMismatch
 
 
@@ -35,6 +36,31 @@ def test_from_cdf_rejects_non_cdfs():
     with pytest.raises(ValueError):
         sd.Distribution.from_cdf(
             sd.PiecewiseFn((0.0,), 0.0, ((0.0, 0.0, 1.0),)))
+
+
+def test_bare_constructor_rejects_non_cdfs():
+    # an overshoot past 1 that would pass FSD and SSD against dirac(0.5)
+    with pytest.raises(ValueError, match="a CDF cannot jump downward"):
+        sd.Distribution(sd.PiecewiseFn.step((0.0, 1.0), (0.0, 1.5, 1.0)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="a CDF must be 0 before"):
+        sd.Distribution(sd.PiecewiseFn.step((0.0,), (0.1, 1.0)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="a CDF must reach 1"):
+        sd.Distribution(sd.PiecewiseFn.step((0.0,), (0.0, 0.9)), 0.0, 0.0)
+    F = sd.from_samples([0.0, 1.0])
+    # mean and left support are taken as given
+    assert sd.Distribution(F.carrier, 0.25, -1.0).mean == 0.25
+
+
+def test_builders_check_each_carrier_once(monkeypatch):
+    calls = []
+    check = distributions._cdf_mean
+    monkeypatch.setattr(distributions, "_cdf_mean",
+                        lambda carrier, tol: calls.append(carrier) or check(carrier, tol))
+    F = sd.from_samples([0.0, 1.0])
+    assert len(calls) == 1
+    assert sd.shift(F, 0.5).mean == F.mean + 0.5
+    sd.mixture([F, sd.shift(F, 1.0)], [0.5, 0.5])
+    assert len(calls) == 1
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],

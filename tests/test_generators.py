@@ -6,6 +6,7 @@ import math
 import pytest
 
 import sdorder as sd
+import support
 from sdorder.geometry import pair_geometry
 from sdorder.generators import (
     NoValidRational,
@@ -166,7 +167,7 @@ class TestStrictInclusion:
         geom = pair_geometry(F, G)
         assert geom.surplus == pytest.approx(0.25)
         assert geom.deficit == pytest.approx(0.125)
-        assert sd.first_negative_point(F.carrier.sub(G.carrier)) == 0.0
+        assert support.first_negative_point(F.carrier.sub(G.carrier)) == 0.0
 
     def test_weight_is_read_right_continuously_at_the_crossing(self):
         g = sd.validate_gamma(sd.PiecewiseFn.step((0.0,), (0.2, 0.8)))

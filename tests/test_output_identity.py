@@ -6,7 +6,8 @@ which is each of the cli's 28 commands once. Each op must pass its
 workload's own check, and the `repr` of every result is fed, in op
 order, into one SHA-256 per workload. A refactor that changes any
 verdict, margin, witness, diagnostic row, sampled utility or report
-byte changes a digest.
+byte changes a digest. The base-type utilities the oracle builds its
+samples and witnesses from are pinned on their own, at every threshold.
 """
 
 import hashlib
@@ -57,3 +58,26 @@ def test_bench_results_keep_their_bytes(workloads, monkeypatch, tmp_path, name, 
         assert work.check(result) == [], f"{name} op {i}"
         h.update(repr(shown).encode())
     assert h.hexdigest() == digest
+
+
+# SHA-256 of the base types that oracle op 0 of seed 1 can draw on its pair, in
+# both directions: make_base_mf at every sampler threshold under min_gamma of
+# (F, G), make_base_ff at every threshold under the step weight, make_base_asd
+# under the constant 1/4
+BASE_TYPES = "25ebdabab5622d001061acd219ce750bcf646c6dc34c46ca000731da178af519"
+
+
+def test_base_types_keep_their_bytes(workloads, monkeypatch, tmp_path):
+    monkeypatch.setattr(workloads, "import_sdorder", lambda with_cli: (sdorder, None))
+    work = workloads.WORKLOADS["oracle"].setup(1, tmp_path)
+    f, g, ts, _ = work.inputs(0)
+    F, G = sdorder.from_samples(f), sdorder.from_samples(g)
+    gamma, step, eps = sdorder.min_gamma(F, G), work.weights.step, work.weights.eps
+    h = hashlib.sha256()
+    for A, B in ((F, G), (G, F)):
+        for t in ts:
+            h.update(repr(sdorder.make_base_mf(t, A, B, gamma)).encode())
+        for t in ts:
+            h.update(repr(sdorder.make_base_ff(t, A, B, step)).encode())
+        h.update(repr(sdorder.make_base_asd(A, B, eps)).encode())
+    assert h.hexdigest() == BASE_TYPES

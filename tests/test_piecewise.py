@@ -13,13 +13,12 @@ from sdorder.piecewise import (
     _poly_shift,
     _poly_value,
     compress,
-    crossings,
     cum_area_fn,
-    first_negative_point,
     merge_grids,
     signed_parts,
     weighted_area_fn_values,
 )
+from support import crossings, first_negative_point
 
 DY = [k / 8.0 for k in range(-24, 25)]
 

@@ -81,7 +81,7 @@ class TestUtilityPWL:
     def test_slope_lookups(self):
         u = sd.UtilityPWL((0.0,), (1.0, 2.0))
         assert u.slope_at(0.0) == 2.0
-        assert u.left_slope_at(0.0) == 1.0
+        assert u.slope_at(-1.0) == 1.0
 
     def test_translate_moves_the_pattern_left(self):
         u = sd.UtilityPWL((1.0,), (1.0, 0.5), anchor=(0.0, 0.0))
