@@ -57,6 +57,15 @@ def _left_support(carrier: PiecewiseFn) -> float:
                  if c0 > 0.0 or c1 > 0.0), math.inf)
 
 
+def _ending_at_one(carrier: PiecewiseFn, tol: float) -> PiecewiseFn:
+    """carrier with a last level within tol of 1 stored as exactly 1.0, so
+    that two CDFs cancel past their last breaks; _cdf_mean judges the rest."""
+    *head, (c0, c1, c2) = carrier.coeffs or ((1.0, 0.0, 0.0),)
+    if not 0.0 < abs(c0 - 1.0) <= tol:
+        return carrier
+    return PiecewiseFn(carrier.breaks, carrier.left, (*head, (1.0, c1, c2)))
+
+
 def _cdf_mean(carrier: PiecewiseFn, tol: float) -> float:
     """The mean of carrier, once it is checked to be a CDF (see from_cdf)."""
     degree = carrier.degree()
@@ -93,14 +102,15 @@ def _cdf_mean(carrier: PiecewiseFn, tol: float) -> float:
 @dataclass(frozen=True)
 class Distribution:
     """Validated CDF with cached mean and left support endpoint. The
-    constructor checks carrier as `from_cdf` does under its default tol,
-    and takes mean and left_support as given."""
+    constructor checks and stores carrier as `from_cdf` does under its
+    default tol, and takes mean and left_support as given."""
 
     carrier: PiecewiseFn
     mean: float
     left_support: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "carrier", _ending_at_one(self.carrier, 1e-9))
         _cdf_mean(self.carrier, 1e-9)
 
     @staticmethod
@@ -110,8 +120,10 @@ class Distribution:
         Raises ValueError when the function is not a distribution
         function: it must rise from 0 to 1, never decrease, use only
         flat or linear pieces, and stay flat at 1 after its last
-        breakpoint.
+        breakpoint. Like every constructor, it stores a last level within
+        tol of 1 as exactly 1, so F - G has no area past the last break.
         """
+        carrier = _ending_at_one(carrier, tol)
         return _unchecked(carrier, _cdf_mean(carrier, tol), _left_support(carrier))
 
     def cdf(self, x: float) -> float:
@@ -212,7 +224,8 @@ def mixture(components: list[Distribution], weights: list[float],
     for comp, w in zip(components[1:], weights[1:]):
         carrier = carrier.add(comp.carrier.scale(w))
     mu = sum(w * comp.mean for comp, w in zip(components, weights))
-    return _unchecked(carrier, mu, _left_support(carrier))
+    # every component ends at 1 and the weights sum to 1 within tol
+    return _unchecked(_ending_at_one(carrier, math.inf), mu, _left_support(carrier))
 
 
 def convolve(F: DiscretePMF, Z: DiscretePMF) -> DiscretePMF:

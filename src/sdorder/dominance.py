@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from functools import reduce
 from itertools import chain
 
 from .distributions import Distribution
@@ -29,7 +28,6 @@ from .piecewise import (
     merge_grids,
     signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
     weighted_area_fn_values,
-    weighted_cell_areas,
 )
 
 __all__ = [
@@ -215,7 +213,7 @@ def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
     """Single-inequality order: the 1/epsilon-inflated total deficit must
     not exceed the total variation between the CDFs."""
     ef, geom = validate_epsilon(e), pair_geometry(F, G)
-    lhs = reduce(operator.add, weighted_cell_areas(geom.neg, ef.carrier)[1], 0.0)
+    lhs = weighted_area_fn_values(geom.neg, ef.carrier)[1][-1]
     rhs = geom.surplus + geom.deficit
     margin = rhs - lhs
     return Verdict(margin >= -tol, None, margin, OrderTag.EASD, ((math.inf, lhs, rhs),))

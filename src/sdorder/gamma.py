@@ -191,8 +191,6 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     """
     geom = pair_geometry(F, G)
     Ap, An = geom.Ap, geom.An
-    if not An.breaks:
-        return validate_gamma(PiecewiseFn.constant(0.0))
     cur = 0.0
     env_breaks: list[float] = []
     env_coeffs: list[tuple[float, float, float]] = []
@@ -219,8 +217,6 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
             emit(b, (cur, 0.0, 0.0))
             continue
         # Deficit accrues here, so the surplus side is frozen.
-        if not math.isfinite(h):
-            raise NotSSDOrdered(math.inf)
         ap0 = apc[0]
         if ap0 <= 0.0:
             if _poly_value(anc, h) > tol:

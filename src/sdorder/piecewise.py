@@ -443,9 +443,10 @@ def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, 
     return (n1 / g1) * h + (n0 - n1 * g0 / g1) * log_term
 
 
-def weighted_cell_areas(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], Iterator[float]]:
-    """grid, the union of both break sets, and the integral of f(x)/w(x)
-    over each of its cells, lazily; f has no mass on the unbounded ends."""
+def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(grid, the union of both break sets, and the integral of f(x)/w(x)
+    up to each of its points); monotone in between, so min scans are exact.
+    f has no mass on the unbounded ends: the last value is the total."""
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
     grid, (fc, wc) = common_grid(f, w)
@@ -459,12 +460,5 @@ def weighted_cell_areas(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ..
         # constant pieces skip _weighted_segment's tests; its sum differs at most in a zero's sign
         return num[0] * h / den[0] if flat and den[0] > 0.0 else _weighted_segment(num, den, h)
 
-    return grid, map(area, _widths(grid), fc, wc)
-
-
-def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(grid, cumulative integral of f(x)/w(x) at each point) on the grid
-    of weighted_cell_areas; monotone in between, so min scans are exact."""
-    grid, areas = weighted_cell_areas(f, w)
-    # the last cell carries no mass, so the total past it is not a node
-    return grid, tuple(accumulate(areas, initial=0.0))[:-1]
+    # the last cell is only checked for mass: the total past it is not a node
+    return grid, tuple(accumulate(map(area, _widths(grid), fc, wc), initial=0.0))[:-1]

@@ -377,7 +377,7 @@ def global_greediness(u: UtilityPWL) -> float:
 
 
 def combine(terms: list[tuple[float, UtilityPWL]]) -> UtilityPWL:
-    """Non-negative linear combination; slopes add pointwise."""
+    """Non-negative linear combination; slopes add segment by segment."""
     if not terms:
         raise ValueError("need at least one term")
     for wgt, _ in terms:
@@ -386,10 +386,7 @@ def combine(terms: list[tuple[float, UtilityPWL]]) -> UtilityPWL:
     grid = ()
     for _, t in terms:
         grid = merge_grids(grid, t.breaks)
-    slopes = []
-    for lo, hi in zip((-math.inf, *grid), (*grid, math.inf)):
-        x = _cell_rep(lo, hi)
-        slopes.append(sum(wgt * t.slope_at(x) for wgt, t in terms))
+    slopes = [sum(wgt * t.slope_at(lo) for wgt, t in terms) for lo in (-math.inf, *grid)]
     v0 = sum(wgt * t.value(0.0) for wgt, t in terms)
     cb, cs = _compress(list(grid), slopes)
     return UtilityPWL(cb, cs, anchor=(0.0, v0), provenance="combine")
@@ -460,7 +457,7 @@ def mfsd_exclusion(u: UtilityPWL, g: GammaFn | PiecewiseFn,
     touches: list[tuple[float, float, bool]] = []  # (x0, gamma(x0), strict_rise)
     cells = _refined_cells(u, gf.carrier)
     for lo, hi, _, coeff, _ in cells:
-        v = profile.value(lo if math.isfinite(lo) else hi - 1.0)
+        v = profile.value(lo)
         if not math.isfinite(v) or v < 1.0:
             continue
         target = 1.0 / v

@@ -113,6 +113,22 @@ class TestCheck:
                            "--epsilon", str(eps))
         assert code == 0 and "holds: true" in out
 
+    def test_ten_tenths_get_one_answer_from_every_command(self, tmp_path, capsys):
+        # the jumps sum to 0.9999999999999999, which the loader stores as 1
+        f, g, eps = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "eps.json"
+        f.write_text(json.dumps({"kind": "cdf", "pieces": [
+            {"x": i, "jump": 0.1, "slope_after": 0.0} for i in range(10)]}))
+        g.write_text('{"kind": "cdf", "pieces": [{"x": 4.5, "jump": 1, "slope_after": 0}]}')
+        eps.write_text(serialize_epsilon(sd.EpsilonFn.const(0.25)))
+        pair = ("--f", str(f), "--g", str(g))
+        for order in (("ssd",), ("ffsd", "--gamma-const", "1")):
+            code, out, err = run(capsys, "check", "--order", *order, *pair)
+            assert (code, err) == (0, "") and "holds: true" in out
+        code, out, err = run(capsys, "min-gamma", *pair)
+        assert (code, err) == (0, "") and "upper: 1\n" in out
+        code, out, err = run(capsys, "check", "--order", "easd", "--epsilon", str(eps), *pair)
+        assert (code, err) == (1, "") and "margin: -2.5\n" in out
+
     def test_quadratic_gamma_piece(self, spread_files, tmp_path, capsys):
         gam = tmp_path / "quad.json"
         gam.write_text('{"kind": "gamma", "pieces":'

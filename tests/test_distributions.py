@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,29 @@ def test_bare_constructor_rejects_non_cdfs():
     F = sd.from_samples([0.0, 1.0])
     # mean and left support are taken as given
     assert sd.Distribution(F.carrier, 0.25, -1.0).mean == 0.25
+
+
+# ten jumps of 0.1 sum to 0.9999999999999999
+TENTHS = sd.PiecewiseFn.step(tuple(map(float, range(10))), tuple(accumulate([0.0] + [0.1] * 10)))
+
+
+def test_every_constructor_stores_a_last_level_near_one_as_one():
+    assert TENTHS.coeffs[-1][0] < 1.0
+    one = sd.PiecewiseFn(TENTHS.breaks, 0.0, (*TENTHS.coeffs[:-1], (1.0, 0.0, 0.0)))
+    # the mean is read from the stored carrier
+    assert sd.Distribution.from_cdf(TENTHS) == sd.Distribution.from_cdf(one)
+    assert sd.Distribution(TENTHS, 4.5, 0.0).carrier == one
+    M = sd.mixture([sd.dirac(float(i)) for i in range(10)], [0.1] * 10)
+    assert M.carrier.coeffs[-1] == (1.0, 0.0, 0.0)
+
+
+def test_a_mixture_of_tenths_is_ssd_ordered_with_a_min_gamma():
+    # past the last break F - G was -1.1e-16: SSD held while min_gamma
+    # raised NotSSDOrdered with ratio inf
+    M = sd.mixture([sd.dirac(float(i)) for i in range(10)], [0.1] * 10)
+    D = sd.dirac(4.5)
+    assert sd.check_ssd(M, D).holds
+    assert sd.min_gamma(M, D).upper == pytest.approx(1.0, abs=1e-12)
 
 
 def test_builders_check_each_carrier_once(monkeypatch):

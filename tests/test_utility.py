@@ -1,13 +1,15 @@
+import bisect
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdorder as sd
 import support
 from sdorder.geometry import pair_geometry
+from sdorder.utility import _cell_rep
 
 
 def seeded(seed):
@@ -21,6 +23,57 @@ def dyadic_utility(draw):
                            max_size=len(breaks) + 1))
     anchor = (draw(st.sampled_from(support.GRID)), draw(st.floats(-5.0, 5.0)))
     return sd.UtilityPWL(tuple(breaks), tuple(slopes), anchor=anchor)
+
+
+@st.composite
+def tight_utility(draw):
+    """Up to five breaks, at adjacent floats, past 2**53 in magnitude or
+    both, with unequal slopes on either side of each."""
+    b = draw(st.sampled_from([0.0, 1.0, -2.5, 2.0 ** 53, -1e17, 2.0 ** 62])
+             | st.floats(-2.0 ** 62, 2.0 ** 62))
+    breaks = []
+    for step in draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0 ** 12]), max_size=5)):
+        breaks.append(b)
+        b = max(b + step, math.nextafter(b, math.inf))  # a step of 0: the next float
+    slopes = [draw(st.floats(0.0, 4.0))]
+    for _ in breaks:
+        slopes.append(draw(st.floats(0.0, 4.0).filter(slopes[-1].__ne__)))
+    return sd.UtilityPWL(tuple(breaks), tuple(slopes))
+
+
+@st.composite
+def shiftable_case(draw):
+    """(u, v, gamma breaks, gamma levels, c): two utilities and a step
+    weight with at most 4 grid steps of 2**e either side of 0, and a
+    shift c = +-2**k, k <= 60, that moves every such point exactly: e is
+    -3, or k - 48 when that is larger."""
+    k = draw(st.sampled_from(range(61)))
+    q = 2.0 ** max(-3, k - 48)
+
+    def breaks(n):
+        return tuple(j * q for j in sorted(draw(st.sets(st.integers(-4, 4), max_size=n))))
+
+    def utility():
+        bs = breaks(4)
+        slopes = draw(st.lists(st.sampled_from([0.5, 0.8, 1.0, 2.0]),
+                               min_size=len(bs) + 1, max_size=len(bs) + 1))
+        return sd.UtilityPWL(bs, tuple(slopes))
+
+    gb = breaks(3)
+    levels = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+                                  min_size=len(gb) + 1, max_size=len(gb) + 1)))
+    return utility(), utility(), gb, tuple(levels), draw(st.sampled_from([1.0, -1.0])) * 2.0 ** k
+
+
+def two_touches(k):
+    """test_two_touch_exclusion_points as a shiftable_case with shift 2**k."""
+    q = 2.0 ** max(-3, k - 48)
+    u = sd.UtilityPWL((-2.0 * q, -q, 0.0), (1.0, 2.0, 0.8, 1.0))
+    return u, u, (-q,), (0.5, 0.8), 2.0 ** k
+
+
+def _shifted(u, c):
+    return sd.UtilityPWL(tuple(b + c for b in u.breaks), u.slopes)
 
 
 class TestUtilityPWL:
@@ -127,6 +180,31 @@ class TestExpectedUtilityGap:
         want = (0.75 * sd.expected_utility_gap(F, G, u1)
                 + 1.5 * sd.expected_utility_gap(F, G, u2))
         assert sd.expected_utility_gap(F, G, mixed) == pytest.approx(want, abs=1e-10)
+
+
+class TestCombine:
+    @pytest.mark.parametrize("breaks, slopes", [
+        ((1e17,), (2.0, 1.0)),
+        ((1.0000000000000002, 1.0000000000000004), (3.0, 2.0, 1.0)),
+    ], ids=["past-2**53", "adjacent-floats"])
+    def test_slopes_are_read_where_each_segment_starts(self, breaks, slopes):
+        # a probe at hi - 1.0 or at the midpoint rounds onto the next segment here
+        u = sd.combine([(1.0, sd.UtilityPWL(breaks, slopes))])
+        assert (u.breaks, u.slopes) == (breaks, slopes)
+
+    @given(tight_utility())
+    @settings(max_examples=200, deadline=None)
+    def test_a_single_unit_term_keeps_the_utility(self, u):
+        c = sd.combine([(1.0, u)])
+        assert (c.breaks, c.slopes) == (u.breaks, u.slopes)
+
+    @given(shiftable_case(), st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.0, 0.25, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_combine_commutes_with_an_exact_shift(self, case, a, b):
+        u, v, _, _, c = case
+        w = sd.combine([(a, u), (b, v)])
+        ws = sd.combine([(a, _shifted(u, c)), (b, _shifted(v, c))])
+        assert ws.breaks == tuple(x + c for x in w.breaks) and ws.slopes == w.slopes
 
 
 class TestBaseConstructors:
@@ -293,6 +371,23 @@ class TestExclusion:
         v = sd.mfsd_exclusion(u, sd.GammaFn.const(0.9))
         assert v.kind is sd.ExclusionKind.INCONCLUSIVE
         assert "outside" in v.reason
+
+    @given(shiftable_case())
+    @example(two_touches(0))  # random draws seldom touch twice
+    @example(two_touches(60))
+    @settings(max_examples=300, deadline=None)
+    def test_exclusion_commutes_with_an_exact_shift(self, case):
+        u, _, gb, levels, c = case
+        g = sd.validate_gamma(sd.PiecewiseFn.step(gb, levels))
+        gs = sd.validate_gamma(sd.PiecewiseFn.step(tuple(x + c for x in gb), levels))
+        e, es = sd.mfsd_exclusion(u, g), sd.mfsd_exclusion(_shifted(u, c), gs)
+        assert es.kind is e.kind
+        # unshifted, each point lies inside the cell it represents; shifted,
+        # the verdict reports the representative of the shifted cell
+        grid = tuple(sorted({*u.breaks, *gb}))
+        ends = [((-math.inf, *grid)[i], (*grid, math.inf)[i])
+                for i in (bisect.bisect_right(grid, p) for p in e.points)]
+        assert es.points == tuple(_cell_rep(lo + c, hi + c) for lo, hi in ends)
 
 
 class TestAraReport:
