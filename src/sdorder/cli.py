@@ -383,10 +383,8 @@ def cmd_min_gamma(args) -> int:
     except NotSSDOrdered as e:
         if args.format == "json":
             out = f'{{"error": "NotSSDOrdered", "ratio": {_json_numbers()(e.ratio)}}}\n'
-        elif e.ratio is not None:
-            out = f"NotSSDOrdered: deficit exceeds surplus (ratio {e.ratio:.12g})\n"
         else:
-            out = "NotSSDOrdered\n"
+            out = f"NotSSDOrdered: deficit exceeds surplus (ratio {e.ratio:.12g})\n"
         sys.stdout.write(out)
         return 1
     pieces = _carrier_to_pieces(g.carrier, "gamma")

@@ -59,10 +59,9 @@ class EpsilonOutOfRange(ValueError):
 class NotSSDOrdered(ValueError):
     """The deficit/surplus area ratio exceeds 1, so no gamma in [0,1] works."""
 
-    def __init__(self, ratio: float | None = None):
+    def __init__(self, ratio: float):
         self.ratio = ratio
-        detail = "" if ratio is None else f" (ratio {ratio!r})"
-        super().__init__("pair is not second-order comparable" + detail)
+        super().__init__(f"pair is not second-order comparable (ratio {ratio!r})")
 
 
 @dataclass(frozen=True)
@@ -181,13 +180,15 @@ def validate_epsilon(e: EpsilonFn | PiecewiseFn) -> EpsilonFn:
 def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     """Pointwise-smallest non-decreasing gamma making F comparable to G.
 
-    The deficit-to-surplus area ratio is 0 before the first crossing,
-    rises only while deficit accrues (surplus area frozen there), and
-    falls while surplus accrues. Its running supremum is therefore flat
-    except on deficit stretches, where it follows the rising ratio once
-    that ratio overtakes the sup so far; the overtake point is a
-    polynomial root, solved exactly. Raises NotSSDOrdered when the sup
-    exceeds 1 + tol.
+    It is the running sup of the deficit-to-surplus area ratio, built by
+    one rule on every sign-pure cell: rc = An / ap0, with ap0 the surplus
+    at the cell's start. Where deficit accrues, surplus is frozen and rc
+    is the ratio. Where deficit is frozen, rc is constant and the ratio
+    peaks at the start, as only surplus can grow, so rc is read there
+    (the last cell's end is infinite). The sup follows rc once rc
+    overtakes it, at a polynomial root solved exactly. Raises
+    NotSSDOrdered with the sup when it exceeds 1 + tol, and with inf
+    when deficit above tol meets no surplus.
     """
     geom = pair_geometry(F, G)
     Ap, An = geom.Ap, geom.An
@@ -203,28 +204,15 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
             env_coeffs.append(coeff)
 
     for (b, h, anc), apc in zip(An.cells(), Ap.coeffs):
-        rising = anc[1] != 0.0 or anc[2] != 0.0
-        if not rising:
-            if apc[0] <= 0.0:
-                if anc[0] > tol:
-                    raise NotSSDOrdered(math.inf)
-                r0 = 0.0
-            else:
-                r0 = anc[0] / apc[0]
-            cur = max(cur, r0)
-            if cur > 1.0 + tol:
-                raise NotSSDOrdered(cur)
-            emit(b, (cur, 0.0, 0.0))
-            continue
-        # Deficit accrues here, so the surplus side is frozen.
+        reach = h if anc[1] != 0.0 or anc[2] != 0.0 else 0.0
         ap0 = apc[0]
         if ap0 <= 0.0:
-            if _poly_value(anc, h) > tol:
+            if _poly_value(anc, reach) > tol:
                 raise NotSSDOrdered(math.inf)
             emit(b, (cur, 0.0, 0.0))
             continue
         rc = (anc[0] / ap0, anc[1] / ap0, anc[2] / ap0)
-        r_end = _poly_value(rc, h)
+        r_end = _poly_value(rc, reach)
         if r_end <= cur:
             emit(b, (cur, 0.0, 0.0))
         elif rc[0] >= cur:
@@ -250,7 +238,7 @@ def min_constant_gamma(F: Distribution, G: Distribution,
     try:
         g = min_gamma(F, G, tol)
     except NotSSDOrdered as exc:
-        return Infeasible(exc.ratio if exc.ratio is not None else math.inf)
+        return Infeasible(exc.ratio)
     return g.upper
 
 

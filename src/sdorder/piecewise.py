@@ -332,8 +332,6 @@ def compress(f: PiecewiseFn) -> PiecewiseFn:
         coeffs.append(cur)
         active = cur
         active_start = b
-    if not breaks:
-        return PiecewiseFn(breaks=(), left=f.left, coeffs=())
     return PiecewiseFn(breaks=tuple(breaks), left=f.left, coeffs=tuple(coeffs))
 
 

@@ -288,13 +288,14 @@ def _refined_cells(u: UtilityPWL, carrier: PiecewiseFn):
 
 
 def _cell_rep(lo: float, hi: float) -> float:
-    """Deterministic representative point of the cell (lo, hi), either
-    end of which may be infinite."""
+    """Deterministic point inside the cell [lo, hi), either end of which
+    may be infinite, even where hi - 1 or the midpoint rounds onto hi."""
     if not math.isfinite(lo):
-        return 0.0 if not math.isfinite(hi) else hi - 1.0
+        return 0.0 if not math.isfinite(hi) else min(hi - 1.0, math.nextafter(hi, -math.inf))
     if not math.isfinite(hi):
         return lo + 1.0
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid if lo <= mid < hi else lo
 
 
 def check_dpm_gamma(u: UtilityPWL, g: GammaFn | PiecewiseFn,

@@ -10,7 +10,9 @@ import math
 import random
 
 import sdorder as sd
-from sdorder.piecewise import _cell_signs, signed_parts
+from sdorder.geometry import pair_geometry
+from sdorder.piecewise import (_cell_signs, _poly_roots, _poly_shift, _poly_value,
+                               compress, signed_parts)
 
 GRID = [k / 8.0 for k in range(-32, 33)]
 
@@ -157,3 +159,61 @@ def first_negative_point(f: sd.PiecewiseFn, tol: float = 0.0) -> float:
     if sl < 0:
         return -math.inf
     return next((b for b, s in zip(g.breaks, signs) if s < 0), math.inf)
+
+
+def two_branch_min_gamma(F: sd.Distribution, G: sd.Distribution,
+                         tol: float = 1e-9) -> sd.GammaFn:
+    """min_gamma as it was built before one rule covered every cell: a
+    cell where the deficit is frozen took its own branch."""
+    geom = pair_geometry(F, G)
+    Ap, An = geom.Ap, geom.An
+    cur = 0.0
+    env_breaks: list[float] = []
+    env_coeffs: list[tuple[float, float, float]] = []
+
+    def emit(b, coeff):
+        if env_breaks and env_breaks[-1] == b:
+            env_coeffs[-1] = coeff
+        else:
+            env_breaks.append(b)
+            env_coeffs.append(coeff)
+
+    for (b, h, anc), apc in zip(An.cells(), Ap.coeffs):
+        rising = anc[1] != 0.0 or anc[2] != 0.0
+        if not rising:
+            if apc[0] <= 0.0:
+                if anc[0] > tol:
+                    raise sd.NotSSDOrdered(math.inf)
+                r0 = 0.0
+            else:
+                r0 = anc[0] / apc[0]
+            cur = max(cur, r0)
+            if cur > 1.0 + tol:
+                raise sd.NotSSDOrdered(cur)
+            emit(b, (cur, 0.0, 0.0))
+            continue
+        ap0 = apc[0]
+        if ap0 <= 0.0:
+            if _poly_value(anc, h) > tol:
+                raise sd.NotSSDOrdered(math.inf)
+            emit(b, (cur, 0.0, 0.0))
+            continue
+        rc = (anc[0] / ap0, anc[1] / ap0, anc[2] / ap0)
+        r_end = _poly_value(rc, h)
+        if r_end <= cur:
+            emit(b, (cur, 0.0, 0.0))
+        elif rc[0] >= cur:
+            emit(b, rc)
+            cur = r_end
+        else:
+            cross = _poly_roots((rc[0] - cur, rc[1], rc[2]), 0.0, h)
+            if cross:
+                emit(b, (cur, 0.0, 0.0))
+                emit(b + cross[0], _poly_shift(rc, cross[0]))
+            else:
+                emit(b, rc)
+            cur = r_end
+        if cur > 1.0 + tol:
+            raise sd.NotSSDOrdered(cur)
+    env = compress(sd.PiecewiseFn(tuple(env_breaks), 0.0, tuple(env_coeffs)))
+    return sd.validate_gamma(env, tol)

@@ -177,6 +177,21 @@ class TestMinGamma:
         assert obj["error"] == "NotSSDOrdered"
         assert obj["ratio"] == pytest.approx(5.0 / 3.0)
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "pieces:\n  x=0 jump=0 slope_after=0\nupper: 0\nseries:\n  0,0\n  1,0\n"),
+        ("json", '{"gamma": {"kind": "gamma", "pieces": [{"x": 0.0, "jump": 0.0, '
+                 '"slope_after": 0.0}]}, "lower": 0.0, "upper": 0.0, '
+                 '"series": [[0.0, 0.0], [1.0, 0.0]]}\n'),
+    ])
+    def test_no_deficit_prints_the_constant_zero(self, tmp_path, capsys, fmt, expected):
+        f = tmp_path / "f.csv"
+        g = tmp_path / "g.csv"
+        f.write_text("0\n")
+        g.write_text("1\n")
+        code, out, _ = run(capsys, "min-gamma", "--f", str(f), "--g", str(g),
+                           "--format", fmt)
+        assert (code, out) == (0, expected)
+
 
 class TestMinEpsilon:
     def test_value_and_infeasible(self, crossing_files, capsys):

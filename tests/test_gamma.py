@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdorder as sd
@@ -13,6 +13,7 @@ from sdorder.gamma import (
     RangeViolation,
 )
 from sdorder.geometry import pair_geometry
+from test_geometry import cdfs
 
 
 class TestValidateGamma:
@@ -178,6 +179,42 @@ class TestMinGamma:
                      | set(G.carrier.breaks))
         vals = [g.value(x) for x in pts] + [g.upper]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_deficit_within_tol_and_no_surplus_gives_zero(self):
+        g = sd.min_gamma(sd.dirac(1e-12), sd.dirac(0.0))
+        assert g.carrier.breaks == () and g.upper == 0.0
+
+    def test_deficit_beyond_tol_and_no_surplus_has_ratio_inf(self):
+        with pytest.raises(sd.NotSSDOrdered) as exc:
+            sd.min_gamma(sd.dirac(1e-6), sd.dirac(0.0))
+        assert exc.value.ratio == math.inf
+
+
+def _outcome(build, F, G, tol):
+    """repr of the weight, or the exception's type and message, which
+    for NotSSDOrdered holds the repr of its ratio."""
+    try:
+        return repr(build(F, G, tol))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_THIRDS = sd.Distribution.from_cdf(sd.PiecewiseFn(
+    (-3.0, -4.0 / 3.0, 7.0 / 3.0), 0.0, ((1 / 3, 0.0, 0.0), (2 / 3, 0.0, 0.0), (1.0, 0.0, 0.0))))
+_RAMP = sd.Distribution.from_cdf(sd.PiecewiseFn(
+    (-1.0 / 3.0, 0.0), 0.0, ((0.0, 3.0, 0.0), (1.0, 0.0, 0.0))))
+
+
+@given(cdfs(), cdfs(), st.sampled_from((1e-9, 0.0, 0.25)))
+@example(_THIRDS, _RAMP, 1e-9)  # the ratio overtakes the sup at a root inside a cell
+@settings(max_examples=300, deadline=None)
+def test_one_cell_rule_matches_the_two_branch_loop(F, G, tol):
+    """Every cell through one rule gives the bits of the loop that gave
+    frozen-deficit cells their own branch; linear pieces make the
+    deficit quadratic, which the step-pair digests never reach."""
+    for P, Q in ((F, G), (G, F)):
+        assert (_outcome(sd.min_gamma, P, Q, tol)
+                == _outcome(support.two_branch_min_gamma, P, Q, tol))
 
 
 class TestConstants:

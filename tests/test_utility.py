@@ -388,6 +388,17 @@ class TestExclusion:
         ends = [((-math.inf, *grid)[i], (*grid, math.inf)[i])
                 for i in (bisect.bisect_right(grid, p) for p in e.points)]
         assert es.points == tuple(_cell_rep(lo + c, hi + c) for lo, hi in ends)
+        assert all(lo + c <= p < hi + c for p, (lo, hi) in zip(es.points, ends))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-math.inf, 2.0 ** 54),  # hi - 1 rounds onto hi
+    (1.0000000000000002, 1.0000000000000004),  # the midpoint rounds onto hi
+    (1e308, 1.5e308),  # the midpoint overflows
+    (-1.5e308, -1e308),
+])
+def test_cell_rep_lies_inside_its_cell(lo, hi):
+    assert lo <= _cell_rep(lo, hi) < hi
 
 
 class TestAraReport:
