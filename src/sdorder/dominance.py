@@ -22,13 +22,8 @@ from itertools import chain
 from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import pair_geometry
-from .piecewise import (
-    PiecewiseFn,
-    common_grid,
-    merge_grids,
-    signed_parts,  # noqa: F401 - kept importable here: bench/test_bench.py reads it
-    weighted_area_fn_values,
-)
+from .piecewise import PiecewiseFn, common_grid, weighted_area_fn_values
+from .piecewise import signed_parts  # noqa: F401 - kept importable here: bench/test_bench.py reads it
 
 __all__ = [
     "OrderTag",
@@ -107,13 +102,16 @@ def _settle(tag: OrderTag, slack: list[float], row, place, rows, tol: float) -> 
 
 def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
-    grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
-    # candidates 2k and 2k + 1: the value and the left limit at grid[k]
-    gv, fv, flat = G.carrier._values_on(grid), F.carrier._values_on(grid), chain.from_iterable
-    return _settle(OrderTag.FSD, [*map(operator.sub, flat(fv), flat(gv))],
-                   lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
+    diff, f, g, flat = pair_geometry(F, G).diff, F.carrier, G.carrier, chain.from_iterable
+    grid, walk = diff.breaks, lambda c: flat(c._values_on(diff.breaks))
+    at = lambda c, i: (c.left_limit if i & 1 else c.value)(grid[i >> 1])  # noqa: E731
+    # candidates 2k and 2k + 1: the value and the left limit at grid[k], which
+    # on a step pair are diff's constant there and the constant before it
+    slack = ([*map(operator.sub, walk(f), walk(g))] if f._degree or g._degree
+             else [*flat(zip(d := [c[0] for c in diff.coeffs], [diff.left, *d]))])
+    return _settle(OrderTag.FSD, slack, lambda i: (grid[i >> 1], at(g, i), at(f, i)),
                    lambda i: (i & 1, grid[i >> 1]),
-                   lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)
+                   lambda: tuple(zip(flat(zip(grid, grid)), walk(g), walk(f))), tol)
 
 
 def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: PiecewiseFn):

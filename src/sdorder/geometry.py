@@ -1,12 +1,14 @@
 """The geometry of a pair (F, G): F - G, its sign runs and its cumulative
-surplus and deficit, which every order compares. `pair_geometry` keeps
-the geometry of the last pair it was asked for, so successive calls on
-the same F and G objects, in either order, difference the pair once and
-share every view built since.
+surplus and deficit, which every order compares. For two step CDFs it is
+built in one walk of their merged breaks; other pairs are differenced,
+split at the roots and integrated. `pair_geometry` keeps the geometry of
+the last pair it was asked for, so successive calls on the same F and G
+objects, in either order, build it once and share every view built since.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,7 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .distributions import Distribution
-from .piecewise import PiecewiseFn, cum_area_fn, signed_parts
+from .piecewise import _ZERO, PiecewiseFn, _widths, cum_area_fn, merge_grids, signed_parts
 
 
 def total_area_from_cum(cum: PiecewiseFn) -> float:
@@ -79,14 +81,46 @@ class PairGeometry:
         a zero, as G - F does; C is left to integrate the negated diff.
         """
         d = self.diff
-        diff = PiecewiseFn(d.breaks, 0.0 - d.left,
-                           tuple((0.0 - c0, 0.0 - c1, 0.0 - c2) for c0, c1, c2 in d.coeffs))
-        rev = PairGeometry(diff, self.neg, self.pos)
-        built = self.__dict__
-        for mine, theirs in (("Ap", "An"), ("An", "Ap")):
-            if mine in built:
-                rev.__dict__[theirs] = built[mine]
+        diff = PiecewiseFn._trusted(d.breaks, 0.0 - d.left, tuple([
+            (0.0 - c0, 0.0 - c1, 0.0 - c2) for c0, c1, c2 in d.coeffs]), d._degree)
+        rev, built = PairGeometry(diff, self.neg, self.pos), self.__dict__
+        rev.__dict__.update((theirs, built[mine]) for mine, theirs in (("Ap", "An"), ("An", "Ap"))
+                            if mine in built)
         return rev
+
+
+def _step_geometry(f: PiecewiseFn, g: PiecewiseFn) -> PairGeometry:
+    """The geometry of two step CDFs from one walk of their merged breaks,
+    with the numbers of `sub`, `signed_parts` and `cum_area_fn`: F - G is
+    constant on each cell, and each part's area grows linearly from there."""
+    grid, fb, gb = merge_grids(f.breaks, g.breaks), (*f.breaks, math.inf), (*g.breaks, math.inf)
+    cells, i, j, fc, gc = [], 0, 0, f.coeffs, g.coeffs
+    p0, p1, p2, q0, q1, q2, sp, sn = f.left, 0.0, 0.0, g.left, 0.0, 0.0, 0.0, 0.0
+    for b, h in zip(grid, _widths(grid)):
+        # each side as _coeffs_on puts it on the grid: its own piece at its
+        # own break, carried on as (c0 + z, z, c2) with z = c1 + c2 elsewhere
+        if b == fb[i]:
+            (p0, p1, p2), i = fc[i], i + 1
+        elif i:
+            p0, p1 = p0 + (p1 + p2), p1 + p2
+        if b == gb[j]:
+            (q0, q1, q2), j = gc[j], j + 1
+        elif j:
+            q0, q1 = q0 + (q1 + q2), q1 + q2
+        d = d0, d1, d2 = p0 - q0, p1 - q1, p2 - q2
+        u = u0, u1, _ = d if d0 > 0.0 else _ZERO
+        v = v0, v1, _ = (-d0, -d1, -d2) if d0 < 0.0 else _ZERO
+        cells.append((d, u, v, (sp, u0, u1), (sn, v0, v1)))
+        sp += h * u0  # past the unbounded last cell: never read
+        sn += h * v0
+    (diff, pos, neg, ap, an), left, trusted = zip(*cells), f.left - g.left, PiecewiseFn._trusted
+    geom = PairGeometry(trusted(grid, left, diff, 0),
+                        trusted(grid, left if left > 0.0 else 0.0, pos, 0),
+                        trusted(grid, -left if left < 0.0 else 0.0, neg, 0))
+    # a CDF pair's left tails are 0, so both areas start at 0
+    geom.__dict__.update(Ap=trusted(grid, 0.0, ap, int(pos.count(_ZERO) < len(pos))),
+                         An=trusted(grid, 0.0, an, int(neg.count(_ZERO) < len(neg))))
+    return geom
 
 
 # (weak reference to F, weak reference to G, geometry of (F, G)), replaced
@@ -103,22 +137,21 @@ def _forget(ref: weakref.ref) -> None:
 
 
 def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
-    """Difference the pair, or reuse the last pair's geometry.
+    """Build the pair's geometry, or reuse the last pair's.
 
     F and G match the last pair by identity, never by value. A request
     for (G, F) right after (F, G) is derived from the cached geometry.
     """
     global _last
-    geom = None
     last = _last
-    if last is not None:
-        f, g = last[0](), last[1]()
-        if f is F and g is G:
-            return last[2]
-        if f is G and g is F:
-            geom = last[2]._reversed()
-    if geom is None:
-        diff = F.carrier.sub(G.carrier)
-        geom = PairGeometry(diff, *signed_parts(diff))
+    f, g = (None, None) if last is None else (last[0](), last[1]())
+    if f is F and g is G:
+        return last[2]
+    if f is G and g is F:
+        geom = last[2]._reversed()
+    else:
+        f, g = F.carrier, G.carrier
+        geom = (PairGeometry(diff := f.sub(g), *signed_parts(diff)) if f._degree or g._degree
+                else _step_geometry(f, g))
     _last = (weakref.ref(F, _forget), weakref.ref(G, _forget), geom)
     return geom

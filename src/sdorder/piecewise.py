@@ -137,12 +137,27 @@ class PiecewiseFn:
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        object.__setattr__(self, "breaks", _checked_breaks(self.breaks, "carrier"))
+        self._seal(_checked_breaks(self.breaks, "carrier"))
+
+    @classmethod
+    def _trusted(cls, breaks: tuple[float, ...], left: float,
+                 coeffs: tuple[tuple[float, float, float], ...],
+                 degree: int | None = None) -> "PiecewiseFn":
+        """A carrier on breaks that strictly increase, are finite and store
+        a zero as +0.0 already, as every merge or copy of carriers' breaks
+        does, with one coefficient triple per break: only left is checked."""
+        f = object.__new__(cls)
+        f.__dict__.update(left=left, coeffs=coeffs)
+        return f._seal(breaks, degree)
+
+    def _seal(self, breaks: tuple[float, ...], degree: int | None = None) -> "PiecewiseFn":
         if not math.isfinite(self.left):
             raise _not_finite("carrier", left=self.left)
-        # worked out once: the walks below skip the zero terms of constant cells
-        object.__setattr__(self, "_degree", 2 if any(map(_quad, self.coeffs))
-                           else 1 if any(map(_slope, self.coeffs)) else 0)
+        # worked out once unless given: the walks below skip the zero terms of constant cells
+        cs = self.coeffs
+        self.__dict__.update(breaks=breaks, _degree=degree if degree is not None else
+                             2 if any(map(_quad, cs)) else 1 if any(map(_slope, cs)) else 0)
+        return self
 
     # -- point evaluation -------------------------------------------------
 
@@ -179,19 +194,16 @@ class PiecewiseFn:
         """Right-continuous step function; values[0] is the left-tail value."""
         if len(values) != len(breaks) + 1:
             raise ValueError("need one more value than breakpoints")
-        return PiecewiseFn(
-            tuple(map(float, breaks)),
-            float(values[0]),
-            tuple((float(v), 0.0, 0.0) for v in values[1:]),
-        )
+        return PiecewiseFn(tuple(map(float, breaks)), float(values[0]),
+                           tuple((float(v), 0.0, 0.0) for v in values[1:]))
 
     def with_breaks(self, grid: tuple[float, ...]) -> "PiecewiseFn":
         """Refine onto a superset grid without changing the function;
         self when grid adds no point."""
-        merged = merge_grids(self.breaks, grid)
+        merged = merge_grids(self.breaks, _checked_breaks(grid, "grid"))
         if len(merged) == len(self.breaks):
             return self
-        return PiecewiseFn(merged, self.left, self._coeffs_on(merged))
+        return PiecewiseFn._trusted(merged, self.left, self._coeffs_on(merged))
 
     def _coeffs_on(self, grid: tuple[float, ...]) -> tuple[tuple[float, float, float], ...]:
         """Coefficients on grid, a superset of breaks, in one forward walk:
@@ -202,9 +214,7 @@ class PiecewiseFn:
             return self.coeffs
         if not n:
             return ((self.left, 0.0, 0.0),) * len(grid)
-        flat = not self._degree
-        coeffs = []
-        i = -1
+        flat, coeffs, i = not self._degree, [], -1
         for b in grid:
             if i + 1 < n and own[i + 1] == b:
                 i += 1
@@ -225,20 +235,7 @@ class PiecewiseFn:
         breaks, in one forward walk. Each is the polynomial and offset
         that value and left_limit evaluate, so the numbers are the same."""
         own, coeffs, n = self.breaks, self.coeffs, len(self.breaks)
-        out = []
-        i = -1
-        if not self._degree:
-            # c0 + (c1 + c2) is _poly_value's bits at every offset from +0.0 on
-            v = self.left
-            for b in grid:
-                if i + 1 < n and own[i + 1] == b:
-                    i += 1
-                    c0, c1, c2 = coeffs[i]
-                    lim, v = v, c0 + (c1 + c2)
-                    out.append((v, lim))
-                else:
-                    out.append((v, v))
-            return out
+        out, i = [], -1
         for b in grid:
             if i + 1 < n and own[i + 1] == b:
                 lim = self.left if i < 0 else _poly_value(coeffs[i], b - own[i])
@@ -253,10 +250,8 @@ class PiecewiseFn:
         return PiecewiseFn(tuple(b + c for b in self.breaks), self.left, self.coeffs)
 
     def scale(self, a: float) -> "PiecewiseFn":
-        return PiecewiseFn(
-            self.breaks, self.left * a,
-            tuple((c0 * a, c1 * a, c2 * a) for c0, c1, c2 in self.coeffs),
-        )
+        return PiecewiseFn._trusted(self.breaks, self.left * a, tuple(
+            (c0 * a, c1 * a, c2 * a) for c0, c1, c2 in self.coeffs))
 
     def degree(self) -> int:
         return self._degree
@@ -265,11 +260,8 @@ class PiecewiseFn:
 
     def _binary(self, other: "PiecewiseFn", op) -> "PiecewiseFn":
         grid, (a, b) = common_grid(self, other)
-        coeffs = tuple(
-            (op(p[0], q[0]), op(p[1], q[1]), op(p[2], q[2]))
-            for p, q in zip(a, b)
-        )
-        return PiecewiseFn(grid, op(self.left, other.left), coeffs)
+        return PiecewiseFn._trusted(grid, op(self.left, other.left), tuple(
+            (op(p[0], q[0]), op(p[1], q[1]), op(p[2], q[2])) for p, q in zip(a, b)))
 
     def add(self, other: "PiecewiseFn") -> "PiecewiseFn":
         return self._binary(other, operator.add)
@@ -288,9 +280,7 @@ def merge_grids(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]
         return tuple(a)
     if not a:
         return tuple(b)
-    merged = [*a, *b]
-    merged.sort()
-    return tuple(dict.fromkeys(merged))
+    return tuple(dict.fromkeys(sorted([*a, *b])))
 
 
 def common_grid(*fs: PiecewiseFn, extra: tuple[float, ...] = ()
@@ -335,43 +325,29 @@ def compress(f: PiecewiseFn) -> PiecewiseFn:
     return PiecewiseFn(breaks=tuple(breaks), left=f.left, coeffs=tuple(coeffs))
 
 
-def _split_at_roots(f: PiecewiseFn) -> PiecewiseFn:
-    """Refine so that every segment has constant sign in its interior.
-
-    A cell that starts at a cut starts at a root, so its constant is set
-    to exactly 0 there: re-anchoring would keep the root's rounding.
-    """
-    if not f._degree:
-        return f
-    cuts = {b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h)}
-    if cuts:
-        cuts.difference_update(f.breaks)  # a root may round onto a break
-    if not cuts:
-        return f
-    grid = merge_grids(f.breaks, tuple(sorted(cuts)))
-    coeffs = tuple((0.0, c[1], c[2]) if b in cuts else c
-                   for b, c in zip(grid, f._coeffs_on(grid)))
-    return PiecewiseFn(grid, f.left, coeffs)
-
-
 def _cell_signs(f: PiecewiseFn, tol: float = 0.0) -> tuple[PiecewiseFn, int, list[int]]:
     """Split f at its interior roots once and sign every piece.
 
     Returns (g, sign of the left tail, sign of each cell's interior),
     where g is f refined so that no cell has a root inside; values within
-    tol of zero count as zero. A bounded cell takes the sign of its
+    tol of zero count as zero. A cell that starts at a cut starts at a
+    root, so its constant is set to exactly 0 there: re-anchoring would
+    keep the root's rounding. A bounded cell takes the sign of its
     midpoint, or of its start when the midpoint is zero. The unbounded
     last cell takes the sign of its leading coefficient, which f keeps
     far right, or of its constant when it is flat. A constant f is split
     nowhere, and each cell takes the sign of its constant.
     """
-    g = _split_at_roots(f)
+    g, cuts = f, {b + r for b, h, c in f.cells() for r in _poly_roots(c, 0.0, h)}
+    cuts.difference_update(f.breaks)  # a root may round onto a break
+    if cuts:
+        grid = merge_grids(f.breaks, tuple(sorted(cuts)))
+        g = PiecewiseFn(grid, f.left, tuple((0.0, c[1], c[2]) if b in cuts else c
+                                            for b, c in zip(grid, f._coeffs_on(grid))))
 
     def sgn(v: float) -> int:
         return (v > tol) - (v < -tol)
 
-    if not g._degree:
-        return g, sgn(g.left), [(c0 > tol) - (c0 < -tol) for c0, _, _ in g.coeffs]
     signs = []
     for _, h, c in g.cells():
         if h < math.inf:
@@ -392,8 +368,8 @@ def signed_parts(f: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:
     g, sl, signs = _cell_signs(f)
     pos = tuple(c if s > 0 else _ZERO for c, s in zip(g.coeffs, signs))
     neg = tuple((-c[0], -c[1], -c[2]) if s < 0 else _ZERO for c, s in zip(g.coeffs, signs))
-    return (PiecewiseFn(g.breaks, g.left if sl > 0 else 0.0, pos),
-            PiecewiseFn(g.breaks, -g.left if sl < 0 else 0.0, neg))
+    return (PiecewiseFn._trusted(g.breaks, g.left if sl > 0 else 0.0, pos),
+            PiecewiseFn._trusted(g.breaks, -g.left if sl < 0 else 0.0, neg))
 
 
 def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
@@ -404,21 +380,14 @@ def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
     """
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
-    total = 0.0
-    coeffs = []
-    if not f._degree:
-        # halving the zero c1 keeps it; adding it to a total that starts at +0.0 changes no bit
-        for _, h, (c0, c1, _) in f.cells():
-            coeffs.append((total, c0, c1))
-            total += h * c0
-        return PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
+    total, coeffs = 0.0, []
     for _, h, (c0, c1, c2) in f.cells():
         if c2 != 0.0:
             raise ValueError("cumulative of a quadratic segment leaves the carrier")
         half = c1 / 2.0
         coeffs.append((total, c0, half))
         total += h * (c0 + h * half)  # past the unbounded last cell: never read
-    return PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
+    return PiecewiseFn._trusted(f.breaks, 0.0, tuple(coeffs))
 
 
 def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, float],

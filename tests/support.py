@@ -7,12 +7,15 @@ wobble near tolerance boundaries.
 """
 
 import math
+import operator
 import random
+from itertools import chain
 
 import sdorder as sd
-from sdorder.geometry import pair_geometry
-from sdorder.piecewise import (_cell_signs, _poly_roots, _poly_shift, _poly_value,
-                               compress, signed_parts)
+from sdorder import dominance
+from sdorder.geometry import PairGeometry, pair_geometry
+from sdorder.piecewise import (_ZERO, _cell_signs, _poly_roots, _poly_shift, _poly_value,
+                               common_grid, compress, cum_area_fn, merge_grids, signed_parts)
 
 GRID = [k / 8.0 for k in range(-32, 33)]
 
@@ -217,3 +220,72 @@ def two_branch_min_gamma(F: sd.Distribution, G: sd.Distribution,
             raise sd.NotSSDOrdered(cur)
     env = compress(sd.PiecewiseFn(tuple(env_breaks), 0.0, tuple(env_coeffs)))
     return sd.validate_gamma(env, tol)
+
+
+# -- the pair geometry and check_fsd as they were built before a pair of
+#    step CDFs got its one merge. Each carrier went through the checking
+#    constructor, and degree 0 took its own branch in signed_parts,
+#    cum_area_fn and PiecewiseFn._values_on; the other branches are today's.
+
+
+def _three_pass_signed_parts(f: sd.PiecewiseFn) -> tuple[sd.PiecewiseFn, sd.PiecewiseFn]:
+    if f.degree():
+        g, sl, signs = _cell_signs(f)
+    else:
+        g, sl, signs = f, (f.left > 0.0) - (f.left < 0.0), [(c0 > 0.0) - (c0 < 0.0)
+                                                           for c0, _, _ in f.coeffs]
+    pos = tuple(c if s > 0 else _ZERO for c, s in zip(g.coeffs, signs))
+    neg = tuple((-c[0], -c[1], -c[2]) if s < 0 else _ZERO for c, s in zip(g.coeffs, signs))
+    return (sd.PiecewiseFn(g.breaks, g.left if sl > 0 else 0.0, pos),
+            sd.PiecewiseFn(g.breaks, -g.left if sl < 0 else 0.0, neg))
+
+
+def _three_pass_cum_area(f: sd.PiecewiseFn) -> sd.PiecewiseFn:
+    if f.degree():
+        c = cum_area_fn(f)
+        return sd.PiecewiseFn(c.breaks, c.left, c.coeffs)
+    total, coeffs = 0.0, []
+    for _, h, (c0, c1, _) in f.cells():
+        coeffs.append((total, c0, c1))
+        total += h * c0
+    return sd.PiecewiseFn(f.breaks, 0.0, tuple(coeffs))
+
+
+def three_pass_geometry(F: sd.Distribution, G: sd.Distribution) -> PairGeometry:
+    """The geometry of (F, G) from sub, signed_parts and cum_area_fn, with
+    Ap, An and C built: no cache is read or written."""
+    grid, (a, b) = common_grid(F.carrier, G.carrier)
+    diff = sd.PiecewiseFn(grid, F.carrier.left - G.carrier.left, tuple(
+        (p[0] - q[0], p[1] - q[1], p[2] - q[2]) for p, q in zip(a, b)))
+    geom = PairGeometry(diff, *_three_pass_signed_parts(diff))
+    geom.__dict__.update(Ap=_three_pass_cum_area(geom.pos), An=_three_pass_cum_area(geom.neg),
+                         C=_three_pass_cum_area(diff))
+    return geom
+
+
+def _walked_values(f: sd.PiecewiseFn, grid: tuple) -> list[tuple[float, float]]:
+    if f.degree():
+        return f._values_on(grid)
+    own, coeffs, n = f.breaks, f.coeffs, len(f.breaks)
+    out, i, v = [], -1, f.left
+    for b in grid:
+        if i + 1 < n and own[i + 1] == b:
+            i += 1
+            c0, c1, c2 = coeffs[i]
+            lim, v = v, c0 + (c1 + c2)
+            out.append((v, lim))
+        else:
+            out.append((v, v))
+    return out
+
+
+def merge_walk_fsd(F: sd.Distribution, G: sd.Distribution, tol: float = 1e-9) -> sd.Verdict:
+    """check_fsd as it merged the two break sets itself and walked each CDF
+    onto the merge: candidates 2k and 2k + 1 are the value and the left
+    limit at grid[k]."""
+    grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
+    gv, fv, flat = _walked_values(G.carrier, grid), _walked_values(F.carrier, grid), chain.from_iterable
+    return dominance._settle(sd.OrderTag.FSD, [*map(operator.sub, flat(fv), flat(gv))],
+                             lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
+                             lambda i: (i & 1, grid[i >> 1]),
+                             lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sdorder as sd
 import sdorder.geometry as geometry
+import support
 from sdorder.geometry import pair_geometry
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -98,18 +99,22 @@ def test_freed_and_rebuilt_pairs_never_get_a_stale_geometry():
         del F, G
 
 
+def _count_builds(monkeypatch) -> list:
+    """Record every pair geometry built from scratch: a step pair's one
+    merge, or the split of any other pair's difference."""
+    calls = []
+    for name in ("_step_geometry", "signed_parts"):
+        build = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, build=build: calls.append(args) or build(*args))
+    return calls
+
+
 def test_zeros_of_opposite_sign_share_one_split(monkeypatch):
     # carriers store zero breaks unsigned, so -0.0 and 0.0 samples give one grid
     F = sd.from_samples([-0.0, 1.0])
     G = sd.from_samples([0.0, 2.0])
-    calls = []
-
-    def counted(diff):
-        calls.append(diff)
-        return split(diff)
-
-    split = geometry.signed_parts
-    monkeypatch.setattr(geometry, "signed_parts", counted)
+    calls = _count_builds(monkeypatch)
     pair_geometry(F, G)
     rev = pair_geometry(G, F)
     assert len(calls) == 1
@@ -146,6 +151,51 @@ def cdfs(draw):
         run += m
     coeffs.append((1.0, 0.0, 0.0))
     return sd.Distribution.from_cdf(sd.PiecewiseFn(tuple(xs), 0.0, tuple(coeffs)))
+
+
+@st.composite
+def steps(draw):
+    """A step CDF with masses k/3, k/5 or k/7 on points k/3 that may include
+    a negative zero, and may have a first level of 0; the zero slopes of
+    its pieces carry either sign."""
+    d = draw(st.sampled_from(DENOMS))
+    n = draw(st.integers(1, d))
+    xs = [k / 3.0 for k in sorted(draw(st.sets(st.integers(-9, 9), min_size=n, max_size=n)))]
+    if 0.0 in xs and draw(st.booleans()):
+        xs[xs.index(0.0)] = -0.0
+    cuts = sorted(draw(st.sets(st.integers(0, d - 1), min_size=n - 1, max_size=n - 1)))
+    zero = st.sampled_from((0.0, -0.0))
+    coeffs = tuple((float(Fraction(c, d)), draw(zero), draw(zero)) for c in [*cuts, d])
+    return sd.Distribution.from_cdf(sd.PiecewiseFn(tuple(xs), 0.0, coeffs))
+
+
+GEOMETRY_VIEWS = ("diff", "pos", "neg", "Ap", "An", "neg_runs", "C")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(steps(), steps(), cdfs()), st.one_of(steps(), steps(), cdfs()))
+def test_geometry_matches_the_three_passes(F, G):
+    # one merge for a step pair, sub + signed_parts + cum_area_fn otherwise;
+    # built afresh in each direction; test_reverse_through_the_cache_matches_fresh_copies
+    # judges a (G, F) derived from the (F, G) entry
+    for A, B in ((F, G), (G, F)):
+        geometry._last = None
+        geom, port = pair_geometry(A, B), support.three_pass_geometry(A, B)
+        for view in GEOMETRY_VIEWS:
+            assert repr(getattr(geom, view)) == repr(getattr(port, view)), view
+        for view in GEOMETRY_VIEWS[:5]:
+            assert getattr(geom, view).degree() == getattr(port, view).degree(), view
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(steps(), steps(), cdfs()), st.one_of(steps(), steps(), cdfs()),
+       st.sampled_from((1e-9, 0.0, 0.25)))
+def test_check_fsd_matches_the_merge_walk(F, G, tol):
+    for A, B in ((F, G), (G, F)):
+        expect = repr(support.merge_walk_fsd(A, B, tol))
+        geometry._last = None
+        assert repr(sd.check_fsd(A, B, tol)) == expect  # fresh, and on the cached geometry
+        assert repr(sd.check_fsd(A, B, tol)) == expect
 
 
 STEP = sd.validate_gamma(sd.PiecewiseFn.step((-1.0 / 3.0, 2.0 / 3.0), (2 / 7, 3 / 5, 1.0)))
@@ -187,7 +237,7 @@ def test_reverse_through_the_cache_matches_fresh_copies(F, G):
     assert _public_results(F, G) == forward  # derived back from (G, F)
 
 
-# -- the bench's decide suite differences each pair once -------------------
+# -- the bench's decide suite builds each pair's geometry once -------------
 
 
 def _bench_workloads():
@@ -205,14 +255,7 @@ def test_decide_suite_splits_the_pair_once(monkeypatch):
     wl = _bench_workloads()
     f, g = wl.spread_pair(random.Random(3), 64)
     F, G = sd.from_samples(f), sd.from_samples(g)
-    calls = []
-
-    def counted(diff):
-        calls.append(diff)
-        return split(diff)
-
-    split = geometry.signed_parts
-    monkeypatch.setattr(geometry, "signed_parts", counted)
+    calls = _count_builds(monkeypatch)
     suite = wl.Decide(sd, wl.make_weights(sd), wl.EXPECT).suite
     fg, gf = suite(F, G), suite(G, F)
     assert len(fg) == len(gf) == 8

@@ -60,6 +60,23 @@ def test_bench_results_keep_their_bytes(workloads, monkeypatch, tmp_path, name, 
     assert h.hexdigest() == digest
 
 
+# The benchmark's warm-up ops (0 and 1 of every run) and the first oracle op,
+# on seeds 1-10: each must pass its workload's own check, which pins every
+# verdict, min_gamma(F, G).upper == 1.0 and, on (G, F), FRAC(0.5) and
+# MFSD(const 0.5) to the same margin bits
+WARM_UP = [("decide", (0, 1)), ("oracle", (0,))]
+
+
+@pytest.mark.parametrize("name, ops", WARM_UP, ids=[w[0] for w in WARM_UP])
+def test_warm_up_ops_pass_their_checks_on_seeds_1_to_10(workloads, monkeypatch, tmp_path,
+                                                        name, ops):
+    monkeypatch.setattr(workloads, "import_sdorder", lambda with_cli: (sdorder, None))
+    for seed in range(1, 11):
+        work = workloads.WORKLOADS[name].setup(seed, tmp_path)
+        for i in ops:
+            assert work.check(work.op(work.inputs(i))) == [], f"{name} seed {seed} op {i}"
+
+
 # SHA-256 of the base types that oracle op 0 of seed 1 can draw on its pair, in
 # both directions: make_base_mf at every sampler threshold under min_gamma of
 # (F, G), make_base_ff at every threshold under the step weight, make_base_asd

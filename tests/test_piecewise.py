@@ -150,6 +150,42 @@ def test_carriers_have_finite_ends_and_unsigned_zero_breaks(xs, bad):
     assert PiecewiseFn((-1e308, *bs, 1e308), 0.5, flat * (len(bs) + 2)).breaks[1:-1] == bs
 
 
+def test_shift_still_checks_the_breaks_it_moves():
+    # distributions.shift reports these ValueErrors as ShiftCollapse
+    f = PiecewiseFn((1.0, 1.0 + 2.0 ** -52), 0.0, ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+        f.shift(1e9)
+    with pytest.raises(ValueError, match="carrier breakpoint must be finite, got inf"):
+        PiecewiseFn((0.0, 1e308), 0.0, f.coeffs).shift(1e308)
+    assert f.shift(-1.0).breaks == (0.0, 2.0 ** -52)
+
+
+@pytest.mark.parametrize("grid", [(1.0, 0.5), (0.5, 0.5), (math.inf,), (-math.inf, 0.5), (math.nan,)],
+                         ids=["decreasing", "equal", "inf", "-inf", "nan"])
+def test_with_breaks_checks_the_grid_it_is_given(grid):
+    f = PiecewiseFn((0.0, 1.0), 0.0, ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
+    with pytest.raises(ValueError):
+        f.with_breaks(grid)
+    # a negative zero is stored unsigned, as the checking constructor stores it
+    assert repr(PiecewiseFn((1.0,), 0.0, ((1.0, 0.0, 0.0),)).with_breaks((-0.0,)).breaks) == "(0.0, 1.0)"
+
+
+@given(st.one_of(step_pwl(), linear_pwl(), quadratic_pwl()),
+       st.one_of(step_pwl(), linear_pwl(), quadratic_pwl()),
+       st.lists(st.sampled_from([*DY, -0.0]), max_size=4), st.sampled_from([0.0, -0.0, 0.75, -3.0]))
+@settings(max_examples=150, deadline=None)
+def test_trusted_builders_give_what_the_checking_constructor_gives(f, other, extra, a):
+    # the builders skip the break checks on the grids they merge or copy
+    built = [f.sub(other), f.add(other), f.scale(a), f.with_breaks(tuple(sorted(set(extra)))),
+             *signed_parts(f.sub(other))]
+    if f.degree() < 2:
+        built.append(cum_area_fn(PiecewiseFn(f.breaks, 0.0, f.coeffs)))
+    for h in built:
+        checked = PiecewiseFn(h.breaks, h.left, h.coeffs)
+        assert repr(h) == repr(checked)
+        assert h.degree() == checked.degree() == _scanned_degree(h)
+
+
 def test_point_evaluation_is_right_continuous():
     f = PiecewiseFn.step((0.0, 1.0), (0.0, 0.5, 1.0))
     assert f.value(-0.01) == 0.0
