@@ -23,7 +23,7 @@ from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import pair_geometry
 from .piecewise import PiecewiseFn, common_grid, weighted_area_fn_values
-from .piecewise import signed_parts  # noqa: F401 - kept importable here: bench/test_bench.py reads it
+from .piecewise import signed_parts  # noqa: F401 - bench/test_bench.py reads it here
 
 __all__ = [
     "OrderTag",
@@ -105,10 +105,10 @@ def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     diff, f, g, flat = pair_geometry(F, G).diff, F.carrier, G.carrier, chain.from_iterable
     grid, walk = diff.breaks, lambda c: flat(c._values_on(diff.breaks))
     at = lambda c, i: (c.left_limit if i & 1 else c.value)(grid[i >> 1])  # noqa: E731
-    # candidates 2k and 2k + 1: the value and the left limit at grid[k], which
-    # on a step pair are diff's constant there and the constant before it
-    slack = ([*map(operator.sub, walk(f), walk(g))] if f._degree or g._degree
-             else [*flat(zip(d := [c[0] for c in diff.coeffs], [diff.left, *d]))])
+    # candidates 2k and 2k + 1: the value and the left limit at grid[k], which on a
+    # step pair are diff's cell there and the one before it, read as c0 + (c1 + c2)
+    slack = ([*map(operator.sub, walk(f), walk(g))] if f._degree or g._degree else
+             [*flat(zip(d := [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs], [diff.left, *d]))])
     return _settle(OrderTag.FSD, slack, lambda i: (grid[i >> 1], at(g, i), at(f, i)),
                    lambda i: (i & 1, grid[i >> 1]),
                    lambda: tuple(zip(flat(zip(grid, grid)), walk(g), walk(f))), tol)

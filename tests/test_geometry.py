@@ -156,16 +156,19 @@ def cdfs(draw):
 @st.composite
 def steps(draw):
     """A step CDF with masses k/3, k/5 or k/7 on points k/3 that may include
-    a negative zero, and may have a first level of 0; the zero slopes of
-    its pieces carry either sign."""
+    a negative zero, and may have a first level of 0. Either the zero
+    slopes of its pieces carry either sign, or the level 0 may be -0.0."""
     d = draw(st.sampled_from(DENOMS))
     n = draw(st.integers(1, d))
     xs = [k / 3.0 for k in sorted(draw(st.sets(st.integers(-9, 9), min_size=n, max_size=n)))]
     if 0.0 in xs and draw(st.booleans()):
         xs[xs.index(0.0)] = -0.0
     cuts = sorted(draw(st.sets(st.integers(0, d - 1), min_size=n - 1, max_size=n - 1)))
-    zero = st.sampled_from((0.0, -0.0))
-    coeffs = tuple((float(Fraction(c, d)), draw(zero), draw(zero)) for c in [*cuts, d])
+    signed = draw(st.booleans())
+    zero = st.sampled_from((0.0, -0.0)) if signed else st.just(0.0)
+    level = st.just(0.0) if signed else st.sampled_from((0.0, -0.0))
+    coeffs = tuple((float(Fraction(c, d)) if c else draw(level), draw(zero), draw(zero))
+                   for c in [*cuts, d])
     return sd.Distribution.from_cdf(sd.PiecewiseFn(tuple(xs), 0.0, coeffs))
 
 
