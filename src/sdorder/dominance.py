@@ -107,8 +107,10 @@ def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     at = lambda c, i: (c.left_limit if i & 1 else c.value)(grid[i >> 1])  # noqa: E731
     # candidates 2k and 2k + 1: the value and the left limit at grid[k], which on a
     # step pair are diff's cell there and the one before it, read as c0 + (c1 + c2)
-    slack = ([*map(operator.sub, walk(f), walk(g))] if f._degree or g._degree else
-             [*flat(zip(d := [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs], [diff.left, *d]))])
+    if f._degree or g._degree:
+        slack = [*map(operator.sub, walk(f), walk(g))]
+    else:
+        slack = [*flat(zip(d := [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs], [diff.left, *d]))]
     return _settle(OrderTag.FSD, slack, lambda i: (grid[i >> 1], at(g, i), at(f, i)),
                    lambda i: (i & 1, grid[i >> 1]),
                    lambda: tuple(zip(flat(zip(grid, grid)), walk(g), walk(f))), tol)

@@ -84,8 +84,7 @@ class PairGeometry:
         diff = PiecewiseFn._trusted(d.breaks, 0.0 - d.left, tuple([
             (0.0 - c0, 0.0 - c1, 0.0 - c2) for c0, c1, c2 in d.coeffs]), d._degree)
         rev, built = PairGeometry(diff, self.neg, self.pos), self.__dict__
-        rev.__dict__.update((theirs, built[mine]) for mine, theirs in (("Ap", "An"), ("An", "Ap"))
-                            if mine in built)
+        rev.__dict__.update({b: built[a] for a, b in (("Ap", "An"), ("An", "Ap")) if a in built})
         return rev
 
 
@@ -144,14 +143,15 @@ def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
     """
     global _last
     last = _last
-    f, g = (None, None) if last is None else (last[0](), last[1]())
-    if f is F and g is G:
+    a, b = (None, None) if last is None else (last[0](), last[1]())
+    if a is F and b is G:
         return last[2]
-    if f is G and g is F:
+    f, g = F.carrier, G.carrier
+    if a is G and b is F:
         geom = last[2]._reversed()
+    elif f._degree or g._degree:
+        geom = PairGeometry(diff := f.sub(g), *signed_parts(diff))
     else:
-        f, g = F.carrier, G.carrier
-        geom = (PairGeometry(diff := f.sub(g), *signed_parts(diff)) if f._degree or g._degree
-                else _step_geometry(f, g))
+        geom = _step_geometry(f, g)
     _last = (weakref.ref(F, _forget), weakref.ref(G, _forget), geom)
     return geom

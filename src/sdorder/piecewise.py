@@ -137,7 +137,7 @@ class PiecewiseFn:
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        self._seal(_checked_breaks(self.breaks, "carrier"))
+        self._seal(_checked_breaks(self.breaks, "carrier"), self.left, self.coeffs)
 
     @classmethod
     def _trusted(cls, breaks: tuple[float, ...], left: float,
@@ -146,17 +146,15 @@ class PiecewiseFn:
         """A carrier on breaks that strictly increase, are finite and store
         a zero as +0.0 already, as every merge or copy of carriers' breaks
         does, with one coefficient triple per break: only left is checked."""
-        f = object.__new__(cls)
-        f.__dict__.update(left=left, coeffs=coeffs)
-        return f._seal(breaks, degree)
+        return object.__new__(cls)._seal(breaks, left, coeffs, degree)
 
-    def _seal(self, breaks: tuple[float, ...], degree: int | None = None) -> "PiecewiseFn":
-        if not math.isfinite(self.left):
-            raise _not_finite("carrier", left=self.left)
-        # worked out once unless given: the walks below skip the zero terms of constant cells
-        cs = self.coeffs
-        self.__dict__.update(breaks=breaks, _degree=degree if degree is not None else
-                             2 if any(map(_quad, cs)) else 1 if any(map(_slope, cs)) else 0)
+    def _seal(self, breaks: tuple[float, ...], left: float, coeffs: tuple,
+              degree: int | None = None) -> "PiecewiseFn":
+        if not math.isfinite(left):
+            raise _not_finite("carrier", left=left)
+        if degree is None:  # worked out once: the walks below skip the zero terms of flat cells
+            degree = 2 if any(map(_quad, coeffs)) else 1 if any(map(_slope, coeffs)) else 0
+        self.__dict__.update(breaks=breaks, left=left, coeffs=coeffs, _degree=degree)
         return self
 
     # -- point evaluation -------------------------------------------------
