@@ -104,15 +104,16 @@ def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
     diff, f, g, flat = pair_geometry(F, G).diff, F.carrier, G.carrier, chain.from_iterable
     grid, walk = diff.breaks, lambda c: flat(c._values_on(diff.breaks))
-    at = lambda c, i: (c.left_limit if i & 1 else c.value)(grid[i >> 1])  # noqa: E731
-    # candidates 2k and 2k + 1: the value and the left limit at grid[k], which on a
-    # step pair are diff's cell there and the one before it, read as c0 + (c1 + c2)
     if f._degree or g._degree:
-        slack = [*map(operator.sub, walk(f), walk(g))]
+        # candidates 2k and 2k + 1: the value and the left limit at grid[k]
+        slack, place = [*map(operator.sub, walk(f), walk(g))], lambda i: (i & 1, grid[i >> 1])
     else:
-        slack = [*flat(zip(d := [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs], [diff.left, *d]))]
-    return _settle(OrderTag.FSD, slack, lambda i: (grid[i >> 1], at(g, i), at(f, i)),
-                   lambda i: (i & 1, grid[i >> 1]),
+        # a step pair's F - G at grid[k] is diff's cell there read as c0 + (c1 + c2); a left
+        # limit past grid[0] repeats the value before it, which wins its ties, so it is left out
+        d = [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs]
+        slack, place = [d[0], diff.left, *d[1:]], lambda i: (i == 1, grid[i - (i > 0)])
+    at = lambda c, i: (c.left_limit if place(i)[0] else c.value)(place(i)[1])  # noqa: E731
+    return _settle(OrderTag.FSD, slack, lambda i: (place(i)[1], at(g, i), at(f, i)), place,
                    lambda: tuple(zip(flat(zip(grid, grid)), walk(g), walk(f))), tol)
 
 

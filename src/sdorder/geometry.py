@@ -96,8 +96,7 @@ def _step_geometry(f: PiecewiseFn, g: PiecewiseFn) -> PairGeometry:
     cells, i, j, fc, gc = [], 0, 0, f.coeffs, g.coeffs
     p0, p1, p2, q0, q1, q2, sp, sn = f.left, 0.0, 0.0, g.left, 0.0, 0.0, 0.0, 0.0
     for b, h in zip(grid, _widths(grid)):
-        # each side as _coeffs_on puts it on the grid: its own piece at its
-        # own break, carried on as (c0 + z, z, c2) with z = c1 + c2 elsewhere
+        # each side as _coeffs_on puts it: its own piece at its own break, else carried on
         if b == fb[i]:
             (p0, p1, p2), i = fc[i], i + 1
         elif i:

@@ -1,6 +1,8 @@
 """The pair-geometry cache: successive calls on the same F and G objects,
 in either order, share one geometry; matches are by identity; the
-geometry lives only while both objects do."""
+geometry lives only while both objects do. A step pair's geometry, built
+in one merge, and check_fsd on it give the bits of the passes they
+replace (ports in support.py)."""
 
 import gc
 import importlib.util
