@@ -6,7 +6,11 @@ inequality over all of the real line. The slack is piecewise polynomial
 by refining the CDF difference at its sign changes and merging in the
 weight function's breakpoints, so the infimum is attained at finitely
 many candidate points: segment starts, left limits at segment ends, and
-interior stationary points. No gridding, no sampling.
+interior stationary points. No gridding, no sampling. On a step pair the
+surplus and deficit are continuous and linear on each cell of the
+geometry, so a left limit repeats the next cell's start and loses its tie
+to it: SSD, FRAC and a constant MFSD read the cell starts alone, and FFSD
+(step weight) and EASD (constant) walk the cells and weight breaks once.
 
 A margin of at least -tol counts as holding; ties at zero are holds,
 matching the weak inequalities that define the orders.
@@ -17,12 +21,13 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from functools import reduce
 from itertools import chain
 
 from .distributions import Distribution
-from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
-from .geometry import pair_geometry
-from .piecewise import PiecewiseFn, common_grid, weighted_area_fn_values
+from .gamma import DivisionByZeroGamma, EpsilonFn, GammaFn, validate_epsilon, validate_gamma
+from .geometry import PairGeometry, pair_geometry
+from .piecewise import PiecewiseFn, _widths, common_grid, merge_grids, weighted_area_fn_values
 from .piecewise import signed_parts  # noqa: F401 - bench/test_bench.py reads it here
 
 __all__ = [
@@ -165,11 +170,24 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
             lambda: (first, *chain.from_iterable(map(cell, range(n // 2 - 1))), last))
 
 
+def _cell_starts(geom: PairGeometry, gamma: PiecewiseFn):
+    """The candidates of a step pair under a constant weight g: g * Ap - An
+    at each cell start. Ap and An are continuous and start at 0, so each left
+    limit has the bits and row of the start after it and loses its tie."""
+    grid, g = geom.grid, gamma.left
+    ap, an = [c[0] for c in geom.Ap.coeffs], [c[0] for c in geom.An.coeffs]
+    return ([g * a - n for a, n in zip(ap, an)], lambda k: (grid[k], an[k], g * ap[k]),
+            lambda k: (False, grid[k]),
+            lambda: _weighted_slack_candidates(geom.Ap, geom.An, gamma)[3]())
+
+
 def _graded(tag: OrderTag, F: Distribution, G: Distribution, gamma: PiecewiseFn,
             tol: float) -> Verdict:
     """Settle deficit(t) <= gamma(t) * surplus(t) over every t."""
     geom = pair_geometry(F, G)
-    return _settle(tag, *_weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
+    if geom.diff._degree or gamma.breaks:
+        return _settle(tag, *_weighted_slack_candidates(geom.Ap, geom.An, gamma), tol)
+    return _settle(tag, *_cell_starts(geom, gamma), tol)
 
 
 def check_ssd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
@@ -198,10 +216,24 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     mass and are accepted; a zero at or after it raises
     DivisionByZeroGamma.
     """
-    gf, geom = validate_gamma(g, tol), pair_geometry(F, G)
-    grid, weighted = weighted_area_fn_values(geom.neg, gf.carrier)
-    # Ap at every node from one walk: c0 there is the number value gives
-    ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
+    w, geom = validate_gamma(g, tol).carrier, pair_geometry(F, G)
+    if geom.diff._degree or w._degree:
+        grid, weighted = weighted_area_fn_values(geom.neg, w)
+        # Ap at every node from one walk: c0 there is the number value gives
+        ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
+    else:  # a step pair under a step weight: one walk of its cells and the weight's breaks
+        grid, ap, weighted = merge_grids(geom.grid, w.breaks), [], [0.0]
+        cells, breaks, i, j = (*geom.grid, math.inf), (*w.breaks, math.inf), 0, 0
+        a0, a1, v, start, level = 0.0, 0.0, 0.0, cells[0], w.left  # left of every cell
+        for t, h in zip(grid, _widths(grid)):
+            if t == cells[i]:
+                (a0, a1, _), (v, _, _), start, i = geom.Ap.coeffs[i], geom.neg.coeffs[i], t, i + 1
+            if t == breaks[j]:
+                level, j = w.coeffs[j][0], j + 1
+            if v and not level > 0.0:
+                raise DivisionByZeroGamma("zero weight on a segment with mass")
+            ap.append(a0 + (t - start) * a1)  # Ap's shift: its quad term is a zero
+            weighted.append(weighted[-1] + v * h / level if v else weighted[-1])  # 0 past the end
     # beyond the last break both sides are frozen, so the final node
     # already carries the t -> infinity comparison
     return _settle(OrderTag.FFSD, [*map(operator.sub, ap, weighted)],
@@ -214,7 +246,11 @@ def check_easd(F: Distribution, G: Distribution, e: EpsilonFn | PiecewiseFn,
     """Single-inequality order: the 1/epsilon-inflated total deficit must
     not exceed the total variation between the CDFs."""
     ef, geom = validate_epsilon(e), pair_geometry(F, G)
-    lhs = weighted_area_fn_values(geom.neg, ef.carrier)[1][-1]
+    if geom.diff._degree or ef.carrier.breaks:
+        lhs = weighted_area_fn_values(geom.neg, ef.carrier)[1][-1]
+    else:  # a step pair's deficit cells under a constant weight, in one pass
+        cells, level = zip(geom.neg.coeffs, _widths(geom.grid)), ef.carrier.left
+        lhs = reduce(operator.add, (v * h / level for (v, _, _), h in cells if v), 0.0)
     rhs = geom.surplus + geom.deficit
     margin = rhs - lhs
     return Verdict(margin >= -tol, None, margin, OrderTag.EASD, ((math.inf, lhs, rhs),))

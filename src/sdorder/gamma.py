@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
+from functools import partial
 
 from .piecewise import (
+    _ZERO,
     DivisionByZeroGamma,
     PiecewiseFn,
+    _fold_in,
     _not_finite,
     _poly_roots,
     _poly_shift,
     _poly_value,
-    compress,
 )
 from .distributions import Distribution
 from .geometry import pair_geometry
@@ -181,29 +183,22 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
     """Pointwise-smallest non-decreasing gamma making F comparable to G.
 
     It is the running sup of the deficit-to-surplus area ratio, built by
-    one rule on every sign-pure cell: rc = An / ap0, with ap0 the surplus
-    at the cell's start. Where deficit accrues, surplus is frozen and rc
-    is the ratio. Where deficit is frozen, rc is constant and the ratio
-    peaks at the start, as only surplus can grow, so rc is read there
-    (the last cell's end is infinite). The sup follows rc once rc
-    overtakes it, at a polynomial root solved exactly. Raises
-    NotSSDOrdered with the sup when it exceeds 1 + tol, and with inf
-    when deficit above tol meets no surplus.
+    one rule on every sign-pure cell of the pair's geometry: rc = An /
+    ap0, with ap0 the surplus at the cell's start. Where deficit accrues,
+    surplus is frozen and rc is the ratio. Where deficit is frozen, rc is
+    constant and the ratio peaks at the start, as only surplus can grow,
+    so rc is read there (the last cell's end is infinite). The sup follows
+    rc once rc overtakes it, at a polynomial root solved exactly. A piece
+    is emitted only where the level or slope changes, as compress would
+    leave it. Raises NotSSDOrdered with the sup when it exceeds 1 + tol,
+    and with inf when deficit above tol meets no surplus.
     """
     geom = pair_geometry(F, G)
-    Ap, An = geom.Ap, geom.An
     cur = 0.0
     env_breaks: list[float] = []
-    env_coeffs: list[tuple[float, float, float]] = []
-
-    def emit(b: float, coeff: tuple[float, float, float]) -> None:
-        if env_breaks and env_breaks[-1] == b:
-            env_coeffs[-1] = coeff
-        else:
-            env_breaks.append(b)
-            env_coeffs.append(coeff)
-
-    for (b, h, anc), apc in zip(An.cells(), Ap.coeffs):
+    env_coeffs: list[tuple[float, float, float]] = [_ZERO]  # the left tail's piece first
+    emit = partial(_fold_in, env_breaks, env_coeffs)
+    for (b, h, anc), apc in zip(geom.An.cells(), geom.Ap.coeffs):
         reach = h if anc[1] != 0.0 or anc[2] != 0.0 else 0.0
         ap0 = apc[0]
         if ap0 <= 0.0:
@@ -223,12 +218,12 @@ def min_gamma(F: Distribution, G: Distribution, tol: float = 1e-9) -> GammaFn:
             if cross:
                 emit(b, (cur, 0.0, 0.0))
                 emit(b + cross[0], _poly_shift(rc, cross[0]))
-            else:
-                emit(b, rc)
+            else:  # the crossing rounded onto an end of the cell: the side rc is above wins
+                emit(b, rc if _poly_value(rc, h / 2.0) > cur else (cur, 0.0, 0.0))
             cur = r_end
         if cur > 1.0 + tol:
             raise NotSSDOrdered(cur)
-    env = compress(PiecewiseFn(tuple(env_breaks), 0.0, tuple(env_coeffs)))
+    env = PiecewiseFn._trusted(tuple(env_breaks), 0.0, tuple(env_coeffs[1:]))
     return validate_gamma(env, tol)
 
 

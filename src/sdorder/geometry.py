@@ -1,9 +1,9 @@
 """The geometry of a pair (F, G): F - G, its sign runs and its cumulative
 surplus and deficit, which every order compares. For two step CDFs it is
-built in one walk of their merged breaks; other pairs are differenced,
-split at the roots and integrated. `pair_geometry` keeps the geometry of
-the last pair it was asked for, so successive calls on the same F and G
-objects, in either order, build it once and share every view built since.
+built in one walk of their merged breaks, and the step-pair scans of the
+deciders and min_gamma read its own Ap and An cells; other pairs are
+differenced, split at the roots and integrated. `pair_geometry` keeps the
+last pair's: calls on the same F and G, in either order, build it once.
 """
 
 from __future__ import annotations

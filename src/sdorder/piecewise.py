@@ -19,7 +19,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 __all__ = [
     "DivisionByZeroGamma",
@@ -60,6 +60,14 @@ def _checked_breaks(breaks: tuple[float, ...], what: str) -> tuple[float, ...]:
     if breaks[i:i + 1] == (0.0,) and math.copysign(1.0, breaks[i]) < 0.0:
         return (*breaks[:i], 0.0, *breaks[i + 1:])
     return breaks
+
+
+def _finite_coeffs(coeffs: tuple[tuple[float, float, float], ...]) -> tuple:
+    """coeffs, once every number in them is finite."""
+    if not all(map(math.isfinite, chain.from_iterable(coeffs))):
+        c0, c1, c2 = next(c for c in coeffs if not all(map(math.isfinite, c)))
+        raise _not_finite("carrier", value=c0, slope=c1, quad=c2)
+    return coeffs
 
 
 def _poly_value(coeff: tuple[float, float, float], d: float) -> float:
@@ -137,7 +145,7 @@ class PiecewiseFn:
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        self._seal(_checked_breaks(self.breaks, "carrier"), self.left, self.coeffs)
+        self._seal(_checked_breaks(self.breaks, "carrier"), self.left, _finite_coeffs(self.coeffs))
 
     @classmethod
     def _trusted(cls, breaks: tuple[float, ...], left: float,
@@ -192,8 +200,10 @@ class PiecewiseFn:
         """Right-continuous step function; values[0] is the left-tail value."""
         if len(values) != len(breaks) + 1:
             raise ValueError("need one more value than breakpoints")
-        return PiecewiseFn(tuple(map(float, breaks)), float(values[0]),
-                           tuple((float(v), 0.0, 0.0) for v in values[1:]))
+        left, *levels = map(float, values)
+        coeffs = tuple((v, 0.0, 0.0) for v in levels)  # a finite sum has finite terms
+        return PiecewiseFn._trusted(_checked_breaks(tuple(map(float, breaks)), "carrier"), left,
+                                    coeffs if math.isfinite(sum(levels)) else _finite_coeffs(coeffs), 0)
 
     def with_breaks(self, grid: tuple[float, ...]) -> "PiecewiseFn":
         """Refine onto a superset grid without changing the function;
@@ -292,35 +302,26 @@ def common_grid(*fs: PiecewiseFn, extra: tuple[float, ...] = ()
     return grid, [f._coeffs_on(grid) for f in fs]
 
 
-def compress(f: PiecewiseFn) -> PiecewiseFn:
-    """Drop breakpoints where the function just continues its left piece.
-
-    A break is redundant when the piece in force before it, shifted to
-    the break, reproduces the outgoing coefficients exactly (the left
-    tail counts as a constant piece).  Also normalizes -0.0 coefficients
-    to 0.0.
-    """
-    def norm(c: tuple[float, float, float]) -> tuple[float, float, float]:
-        c0, c1, c2 = c
-        return (c0 + 0.0, c1 + 0.0, c2 + 0.0)
-
-    breaks: list[float] = []
-    coeffs: list[tuple[float, float, float]] = []
-    active = (f.left, 0.0, 0.0)
-    active_start = -math.inf
-    for b, c in zip(f.breaks, f.coeffs):
-        cur = norm(c)
-        if math.isfinite(active_start):
-            shifted = norm(_poly_shift(active, b - active_start))
-        else:
-            shifted = active  # constant left tail
-        if shifted == cur:
-            continue
+def _fold_in(breaks: list[float], coeffs: list[tuple[float, float, float]], b: float,
+             coeff: tuple[float, float, float]) -> None:
+    """Add the piece coeff from b on, with zeros unsigned, unless the piece in
+    force (coeffs[-1]; coeffs[0] is the left tail's) shifted to b equals it
+    (== reads -0.0 as 0.0). A piece at the last break replaces that one."""
+    if breaks and breaks[-1] == b:
+        del breaks[-1], coeffs[-1]
+    a = coeffs[-1]
+    if coeff != (a if not (a[1] or a[2]) else _poly_shift(a, b - breaks[-1])):
         breaks.append(b)
-        coeffs.append(cur)
-        active = cur
-        active_start = b
-    return PiecewiseFn(breaks=tuple(breaks), left=f.left, coeffs=tuple(coeffs))
+        coeffs.append((coeff[0] + 0.0, coeff[1] + 0.0, coeff[2] + 0.0))
+
+
+def compress(f: PiecewiseFn) -> PiecewiseFn:
+    """Drop breakpoints where f just continues its left piece; store -0.0
+    as 0.0. Kept for the benchmark's tracer, which spans it by name."""
+    breaks, coeffs = [], [(f.left, 0.0, 0.0)]
+    for b, c in zip(f.breaks, f.coeffs):
+        _fold_in(breaks, coeffs, b, c)
+    return PiecewiseFn(tuple(breaks), f.left, tuple(coeffs[1:]))
 
 
 def _cell_signs(f: PiecewiseFn, tol: float = 0.0) -> tuple[PiecewiseFn, int, list[int]]:
@@ -415,15 +416,13 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
     grid, (fc, wc) = common_grid(f, w)
-    flat = not (f._degree or w._degree)
 
     def area(h: float, num: tuple[float, float, float], den: tuple[float, float, float]) -> float:
         if not any(num):
             return 0.0
         if h == math.inf:
             raise NonIntegrableTail("right tail must be identically zero")
-        # constant pieces skip _weighted_segment's tests; its sum differs at most in a zero's sign
-        return num[0] * h / den[0] if flat and den[0] > 0.0 else _weighted_segment(num, den, h)
+        return _weighted_segment(num, den, h)
 
     # the last cell is only checked for mass: the total past it is not a node
     return grid, tuple(accumulate(map(area, _widths(grid), fc, wc), initial=0.0))[:-1]

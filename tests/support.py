@@ -9,13 +9,14 @@ wobble near tolerance boundaries.
 import math
 import operator
 import random
-from itertools import chain
+from itertools import accumulate, chain
 
 import sdorder as sd
 from sdorder import dominance
 from sdorder.geometry import PairGeometry, pair_geometry
-from sdorder.piecewise import (_ZERO, _cell_signs, _poly_roots, _poly_shift, _poly_value,
-                               common_grid, compress, cum_area_fn, merge_grids, signed_parts)
+from sdorder.piecewise import (_ZERO, NonIntegrableTail, _cell_signs, _poly_roots, _poly_shift,
+                               _poly_value, _weighted_segment, _widths, common_grid, compress,
+                               cum_area_fn, merge_grids, signed_parts)
 
 GRID = [k / 8.0 for k in range(-32, 33)]
 
@@ -213,8 +214,8 @@ def two_branch_min_gamma(F: sd.Distribution, G: sd.Distribution,
             if cross:
                 emit(b, (cur, 0.0, 0.0))
                 emit(b + cross[0], _poly_shift(rc, cross[0]))
-            else:
-                emit(b, rc)
+            else:  # the mended fallback, as in folded_min_gamma
+                emit(b, rc if _poly_value(rc, h / 2.0) > cur else (cur, 0.0, 0.0))
             cur = r_end
         if cur > 1.0 + tol:
             raise sd.NotSSDOrdered(cur)
@@ -289,3 +290,146 @@ def merge_walk_fsd(F: sd.Distribution, G: sd.Distribution, tol: float = 1e-9) ->
                              lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
                              lambda i: (i & 1, grid[i >> 1]),
                              lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)
+
+
+# -- the scans of a step pair as they were before they read the geometry's
+#    own cells: SSD, FRAC and a constant MFSD walked Ap, An and the weight
+#    onto a merged grid and settled 2n candidates sorted by place; FFSD and
+#    EASD walked the deficit and the weight for weighted_area_fn_values,
+#    whose constant pieces skipped _weighted_segment; min_gamma emitted a
+#    piece per cell and folded them with compress.
+
+
+def _sorting_settle(tag, slack, row, place, rows, tol):
+    margin = min(slack)
+    near = sorted((i for i, s in enumerate(slack) if s - margin <= tol), key=place)
+    massive = (i for i in near for _, l, r in (row(i),) if not abs(l) + abs(r) <= tol)
+    best = next(massive, near[0] if near else None)
+    return sd.Verdict(margin >= -tol, None if best is None else place(best)[1], margin, tag, rows)
+
+
+def _constant_weight_candidates(Ap, An, gamma):
+    grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
+    first = grid[0], An.left, gamma.left * Ap.left
+    last = grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]
+    slack = [first[2] - first[1]]
+    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in zip(grid, grid[1:], apc, anc, gmc):
+        h = end - b
+        slack += (g0 * a0 - n0, (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2))
+                  - (n0 + h * (n1 + h * n2)))
+        assert not ((g2 or n2) and (n1 != 0.0 or n2 != 0.0)), "a stationary point"
+    slack.append(last[2] - last[1])
+
+    def cell(k):
+        b, end = grid[k], grid[k + 1]
+        (a0, a1, a2), (n0, n1, n2), (g0, g1, g2), h = apc[k], anc[k], gmc[k], end - b
+        return [(b, n0, g0 * a0), (end, n0 + h * (n1 + h * n2),
+                                   (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)))]
+
+    n = len(slack)
+
+    def row(i):
+        k, end = divmod(i - 1, 2)
+        return first if k < 0 else last if i == n - 1 else cell(k)[end]
+
+    return (slack, row, lambda i: (not i & 1, grid[i >> 1]),
+            lambda: (first, *chain.from_iterable(map(cell, range(n // 2 - 1))), last))
+
+
+def walked_graded(tag, F, G, gamma, tol=1e-9):
+    """SSD, FRAC or MFSD of (F, G) under the constant carrier gamma, on a
+    geometry built by three_pass_geometry."""
+    geom = three_pass_geometry(F, G)
+    return _sorting_settle(tag, *_constant_weight_candidates(geom.Ap, geom.An, gamma), tol)
+
+
+def _walked_weighted_values(f, w):
+    grid, (fc, wc) = common_grid(f, w)
+    flat = not (f.degree() or w.degree())
+
+    def area(h, num, den):
+        if not any(num):
+            return 0.0
+        if h == math.inf:
+            raise NonIntegrableTail("right tail must be identically zero")
+        return num[0] * h / den[0] if flat and den[0] > 0.0 else _weighted_segment(num, den, h)
+
+    return grid, tuple(accumulate(map(area, _widths(grid), fc, wc), initial=0.0))[:-1]
+
+
+def walked_ffsd(F, G, g, tol=1e-9):
+    gf, geom = sd.validate_gamma(g, tol), three_pass_geometry(F, G)
+    grid, weighted = _walked_weighted_values(geom.neg, gf.carrier)
+    ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
+    return _sorting_settle(sd.OrderTag.FFSD, [*map(operator.sub, ap, weighted)],
+                           lambda i: (grid[i], weighted[i], ap[i]), lambda i: (False, grid[i]),
+                           lambda: tuple(zip(grid, weighted, ap)), tol)
+
+
+def walked_easd(F, G, e, tol=1e-9):
+    ef, geom = sd.validate_epsilon(e), three_pass_geometry(F, G)
+    lhs = _walked_weighted_values(geom.neg, ef.carrier)[1][-1]
+    rhs = geom.surplus + geom.deficit
+    margin = rhs - lhs
+    return sd.Verdict(margin >= -tol, None, margin, sd.OrderTag.EASD, ((math.inf, lhs, rhs),))
+
+
+def _compress(f):
+    def norm(c):
+        c0, c1, c2 = c
+        return (c0 + 0.0, c1 + 0.0, c2 + 0.0)
+
+    breaks, coeffs, active, active_start = [], [], (f.left, 0.0, 0.0), -math.inf
+    for b, c in zip(f.breaks, f.coeffs):
+        cur = norm(c)
+        shifted = (norm(_poly_shift(active, b - active_start)) if math.isfinite(active_start)
+                   else active)
+        if shifted == cur:
+            continue
+        breaks.append(b)
+        coeffs.append(cur)
+        active, active_start = cur, b
+    return sd.PiecewiseFn(tuple(breaks), f.left, tuple(coeffs))
+
+
+def folded_min_gamma(F, G, tol=1e-9):
+    """min_gamma as it emitted a piece per cell and folded the envelope
+    with compress afterwards. Its no-root fallback is the mended one:
+    before, it emitted the ratio from the cell's start in every case."""
+    geom = three_pass_geometry(F, G)
+    cur, env_breaks, env_coeffs = 0.0, [], []
+
+    def emit(b, coeff):
+        if env_breaks and env_breaks[-1] == b:
+            env_coeffs[-1] = coeff
+        else:
+            env_breaks.append(b)
+            env_coeffs.append(coeff)
+
+    for (b, h, anc), apc in zip(geom.An.cells(), geom.Ap.coeffs):
+        reach = h if anc[1] != 0.0 or anc[2] != 0.0 else 0.0
+        ap0 = apc[0]
+        if ap0 <= 0.0:
+            if _poly_value(anc, reach) > tol:
+                raise sd.NotSSDOrdered(math.inf)
+            emit(b, (cur, 0.0, 0.0))
+            continue
+        rc = (anc[0] / ap0, anc[1] / ap0, anc[2] / ap0)
+        r_end = _poly_value(rc, reach)
+        if r_end <= cur:
+            emit(b, (cur, 0.0, 0.0))
+        elif rc[0] >= cur:
+            emit(b, rc)
+            cur = r_end
+        else:
+            cross = _poly_roots((rc[0] - cur, rc[1], rc[2]), 0.0, h)
+            if cross:
+                emit(b, (cur, 0.0, 0.0))
+                emit(b + cross[0], _poly_shift(rc, cross[0]))
+            else:
+                emit(b, rc if _poly_value(rc, h / 2.0) > cur else (cur, 0.0, 0.0))
+            cur = r_end
+        if cur > 1.0 + tol:
+            raise sd.NotSSDOrdered(cur)
+    return sd.validate_gamma(_compress(sd.PiecewiseFn(tuple(env_breaks), 0.0, tuple(env_coeffs))),
+                             tol)

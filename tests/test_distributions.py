@@ -103,14 +103,20 @@ def test_pmf_rejects_non_finite_atoms(bad, field, atoms):
 
 @NON_FINITE
 @pytest.mark.parametrize("field,carrier", [
-    ("slope", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.0, ((0.0, v, 0.0), (1.0, 0.0, 0.0)))),
-    ("value", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.0, ((v, 0.0, 0.0), (1.0, 0.0, 0.0)))),
-    ("breakpoint", lambda v: sd.PiecewiseFn((v,), 0.0, ((1.0, 0.0, 0.0),))),
+    ("slope", lambda v, build=sd.PiecewiseFn: build((0.0, 1.0), 0.0,
+                                                    ((0.0, v, 0.0), (1.0, 0.0, 0.0)))),
+    ("value", lambda v, build=sd.PiecewiseFn: build((0.0, 1.0), 0.0,
+                                                    ((v, 0.0, 0.0), (1.0, 0.0, 0.0)))),
+    ("breakpoint", lambda v, build=sd.PiecewiseFn: build((v,), 0.0, ((1.0, 0.0, 0.0),))),
 ])
 def test_from_cdf_rejects_non_finite_pieces(bad, field, carrier):
-    owner = "carrier" if field == "breakpoint" else "CDF"  # the carrier rejects it first
-    with pytest.raises(ValueError, match=f"{owner} {field} must be finite"):
+    # the carrier rejects every number first, so from_cdf meets a non-finite
+    # piece only in a carrier built without that check, as sums and scalings are
+    with pytest.raises(ValueError, match=f"carrier {field} must be finite"):
         sd.Distribution.from_cdf(carrier(bad))
+    if field != "breakpoint":
+        with pytest.raises(ValueError, match=f"CDF {field} must be finite"):
+            sd.Distribution.from_cdf(carrier(bad, sd.PiecewiseFn._trusted))
 
 
 def test_shift_names_the_breakpoints_it_collapses():

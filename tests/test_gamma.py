@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdorder as sd
+import sdorder.gamma as gamma_module
 import support
 from sdorder.gamma import (
     EpsilonOutOfRange,
@@ -46,6 +47,11 @@ class TestValidateGamma:
         with pytest.raises(RangeViolation):
             sd.validate_gamma(sd.PiecewiseFn((0.0,), 0.0, ((0.0, 0.1, 0.0),)))
 
+    def test_rejects_a_last_segment_that_falls(self):
+        for last in ((0.5, -0.25, 0.0), (0.5, 0.25, -0.125)):
+            with pytest.raises(NotMonotone, match="decreases on its last segment"):
+                sd.validate_gamma(sd.PiecewiseFn((0.0,), 0.5, (last,)))
+
     def test_tolerance_slack_is_honored(self):
         g = sd.validate_gamma(sd.PiecewiseFn.constant(1.0 + 1e-10))
         assert g.upper == pytest.approx(1.0, abs=1e-9)
@@ -53,35 +59,41 @@ class TestValidateGamma:
 
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                                      ids=["nan", "inf", "-inf"])
-# (field, carrier with the bad number in that field) for a weight whose
-# finite version is valid both as a gamma and as an epsilon
+# (field, carrier with the bad number in that field, built by build) for a
+# weight whose finite version is valid both as a gamma and as an epsilon
+P = sd.PiecewiseFn
 WEIGHT_FIELDS = pytest.mark.parametrize("field,carrier", [
-    ("left", lambda v: sd.PiecewiseFn((0.0,), v, ((0.25, 0.0, 0.0),))),
-    ("value", lambda v: sd.PiecewiseFn((0.0,), 0.125, ((v, 0.0, 0.0),))),
-    ("slope", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.125, ((0.125, v, 0.0), (0.25, 0.0, 0.0)))),
-    ("quad", lambda v: sd.PiecewiseFn((0.0, 1.0), 0.125, ((0.125, 0.0, v), (0.25, 0.0, 0.0)))),
-    ("breakpoint", lambda v: sd.PiecewiseFn((v,), 0.125, ((0.25, 0.0, 0.0),))),
+    ("left", lambda v, build=P: build((0.0,), v, ((0.25, 0.0, 0.0),))),
+    ("value", lambda v, build=P: build((0.0,), 0.125, ((v, 0.0, 0.0),))),
+    ("slope", lambda v, build=P: build((0.0, 1.0), 0.125, ((0.125, v, 0.0), (0.25, 0.0, 0.0)))),
+    ("quad", lambda v, build=P: build((0.0, 1.0), 0.125, ((0.125, 0.0, v), (0.25, 0.0, 0.0)))),
+    ("breakpoint", lambda v, build=P: build((v,), 0.125, ((0.25, 0.0, 0.0),))),
 ])
 
 
-# the carrier itself rejects a non-finite left tail or breakpoint
+# the carrier itself rejects every non-finite number; a weight still names
+# the pieces of a carrier built without that check, as sums and scalings are
 CARRIER_FIELDS = ("left", "breakpoint")
 
 
 @NON_FINITE
 @WEIGHT_FIELDS
 def test_validate_gamma_rejects_non_finite_numbers(bad, field, carrier):
-    owner = "carrier" if field in CARRIER_FIELDS else "gamma"
-    with pytest.raises(ValueError, match=f"{owner} {field} must be finite"):
+    with pytest.raises(ValueError, match=f"carrier {field} must be finite"):
         sd.validate_gamma(carrier(bad))
+    if field not in CARRIER_FIELDS:
+        with pytest.raises(ValueError, match=f"gamma {field} must be finite"):
+            sd.validate_gamma(carrier(bad, P._trusted))
 
 
 @NON_FINITE
 @WEIGHT_FIELDS
 def test_validate_epsilon_rejects_non_finite_numbers(bad, field, carrier):
-    owner = "carrier" if field in CARRIER_FIELDS else "epsilon"
-    with pytest.raises(ValueError, match=f"{owner} {field} must be finite"):
+    with pytest.raises(ValueError, match=f"carrier {field} must be finite"):
         sd.validate_epsilon(carrier(bad))
+    if field not in CARRIER_FIELDS:
+        with pytest.raises(ValueError, match=f"epsilon {field} must be finite"):
+            sd.validate_epsilon(carrier(bad, P._trusted))
 
 
 class TestValidateEpsilon:
@@ -104,6 +116,19 @@ class TestValidateEpsilon:
         e = sd.validate_epsilon(f)
         assert e.carrier.left_limit(1.0) == 0.5
         assert e.value(1.0) == 0.25
+
+
+    def test_a_curved_piece_is_checked_at_its_vertex(self):
+        # both ends of each piece on [0, 1) are 1/4; the vertex at 1/2 is inside
+        inside = sd.PiecewiseFn((0.0, 1.0), 0.25, ((0.25, 0.5, -0.5), (0.25, 0.0, 0.0)))
+        assert sd.validate_epsilon(inside).value(0.5) == 0.375
+        peak = sd.PiecewiseFn((0.0, 1.0), 0.25, ((0.25, 1.0, -1.0), (0.25, 0.0, 0.0)))
+        with pytest.raises(EpsilonOutOfRange, match="strictly inside"):
+            sd.validate_epsilon(peak)
+
+    def test_must_level_off(self):
+        with pytest.raises(EpsilonOutOfRange, match="level off on its last segment"):
+            sd.validate_epsilon(sd.PiecewiseFn((0.0,), 0.25, ((0.25, 0.01, 0.0),)))
 
 
 class TestWeightsCheckThemselves:
@@ -188,6 +213,29 @@ class TestMinGamma:
         with pytest.raises(sd.NotSSDOrdered) as exc:
             sd.min_gamma(sd.dirac(1e-6), sd.dirac(0.0))
         assert exc.value.ratio == math.inf
+
+
+# surplus, deficit, surplus, deficit: the second deficit cell takes the ratio
+# from below the sup to one ulp above it, so ratio - sup has no root inside
+_ULP_BREAKS = (0.0, 1.0, 1.1428571428571428, 1.3650793650793651, 1.6993623660290336)
+_ULP_F = sd.Distribution.from_cdf(sd.PiecewiseFn.step(_ULP_BREAKS, (
+    0.0, 0.1090909090909091, 0.46923076923076923, 0.6444444444444444, 0.6857142857142857, 1.0)))
+_ULP_G = sd.Distribution.from_cdf(sd.PiecewiseFn.step(_ULP_BREAKS, (0.0, 0.1, 0.5, 0.6, 0.7, 1.0)))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_a_crossing_rounded_onto_a_cell_end_holds_the_sup(monkeypatch, tol):
+    # emitting the ratio from the cell's start dropped gamma below the sup
+    # there, and GammaFn raised NotMonotone("gamma jumps downward")
+    roots = []
+    find = gamma_module._poly_roots
+    monkeypatch.setattr(gamma_module, "_poly_roots", lambda *a: roots.append(find(*a)) or roots[-1])
+    g = sd.min_gamma(_ULP_F, _ULP_G, tol)
+    assert roots == [[]]
+    last, end = _ULP_BREAKS[-2:]
+    assert g.value(last) == g.value((last + end) / 2.0) == g.carrier.left_limit(end) < g.upper
+    assert g.upper == sd.min_constant_gamma(_ULP_F, _ULP_G, tol) == 0.48351648351648324
+    assert sd.check_mfsd(_ULP_F, _ULP_G, g, tol).holds
 
 
 def _outcome(build, F, G, tol):

@@ -8,6 +8,7 @@ import gc
 import importlib.util
 import random
 import sys
+import types
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdorder as sd
+import sdorder.dominance as dominance
 import sdorder.geometry as geometry
+import sdorder.piecewise as piecewise
 import support
 from sdorder.geometry import pair_geometry
 
@@ -268,3 +271,40 @@ def test_decide_suite_splits_the_pair_once(monkeypatch):
     assert wl.suite_problems(gf, wl.EXPECT["GF"]) == []
     assert len(calls) == 1
 
+
+
+def test_decide_suite_scans_a_step_pair_on_its_cells(monkeypatch):
+    # SSD, FRAC and a constant-weight MFSD read the geometry's cell starts, so
+    # none of them walks onto a merged grid; min_gamma folds as it emits
+    wl = _bench_workloads()
+    f, g = wl.spread_pair(random.Random(3), 64)
+    F, G = sd.from_samples(f), sd.from_samples(g)
+    running, walks, folds = [None], [], []
+    for module in (piecewise, dominance):
+        walk = module.common_grid
+        monkeypatch.setattr(module, "common_grid",
+                            lambda *a, walk=walk, **k: walks.append(running[0]) or walk(*a, **k))
+    fold = piecewise.compress
+    monkeypatch.setattr(piecewise, "compress", lambda *a: folds.append(a) or fold(*a))
+
+    def named(name, decide):
+        def run(A, B, *rest):
+            running[0] = "mfsd_const" if name == "mfsd" and not rest[0].carrier.breaks else name
+            try:
+                return decide(A, B, *rest)
+            finally:
+                running[0] = None
+        return run
+
+    deciders = {n: named(n, getattr(sd, f"check_{n}")) for n in ("ssd", "fractional", "mfsd")}
+    lib = types.SimpleNamespace(**{**{n: getattr(sd, n) for n in sd.__all__},
+                                   **{f"check_{n}": d for n, d in deciders.items()}})
+    suite = wl.Decide(lib, wl.make_weights(sd), wl.EXPECT).suite
+    fg, gf = suite(F, G), suite(G, F)
+    assert wl.suite_problems(fg, wl.EXPECT["FG"]) == []
+    assert wl.suite_problems(gf, wl.EXPECT["GF"]) == []
+    # (G, F) is not SSD-ordered, so its MFSD runs under the constant 1/2
+    assert gf["min_gamma"] == wl.NOT_ORDERED and not gf["mfsd"].holds
+    assert folds == []
+    assert [w for w in walks if w in ("ssd", "fractional", "mfsd_const")] == []
+    assert "mfsd" in walks  # the walks are counted: (F, G) runs MFSD under min_gamma

@@ -18,6 +18,7 @@ from sdorder.piecewise import (
     signed_parts,
     weighted_area_fn_values,
 )
+import support
 from support import crossings, first_negative_point
 
 DY = [k / 8.0 for k in range(-24, 25)]
@@ -148,6 +149,23 @@ def test_carriers_have_finite_ends_and_unsigned_zero_breaks(xs, bad):
         PiecewiseFn(ends, 0.5, flat * len(ends))
     # each end is tested on its own, so ends near the float range's edge are fine
     assert PiecewiseFn((-1e308, *bs, 1e308), 0.5, flat * (len(bs) + 2)).breaks[1:-1] == bs
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at,field", [(0, "value"), (1, "slope"), (2, "quad")])
+def test_carriers_reject_non_finite_coefficients(bad, at, field):
+    coeff = [0.5, 0.0, 0.0]
+    coeff[at] = bad
+    coeffs = ((0.25, 0.0, 0.0), tuple(coeff))
+    with pytest.raises(ValueError, match=f"carrier {field} must be finite, got {bad!r}"):
+        PiecewiseFn((0.0, 1.0), 0.0, coeffs)
+    assert PiecewiseFn._trusted((0.0, 1.0), 0.0, coeffs).coeffs == coeffs  # left unchecked
+    if at == 0:  # a step's levels are its values; its slopes are the literal 0.0
+        with pytest.raises(ValueError, match=f"carrier value must be finite, got {bad!r}"):
+            PiecewiseFn.step((0.0, 1.0), (0.0, 0.25, bad))
+    step = PiecewiseFn.step((-0.0, 1), (0, 0.25, 1))
+    assert repr(step) == repr(PiecewiseFn(step.breaks, step.left, step.coeffs))
+    assert step.degree() == 0
 
 
 def test_shift_still_checks_the_breaks_it_moves():
@@ -330,6 +348,16 @@ def test_compress_drops_continuing_pieces():
     for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
         assert g.value(x) == f.value(x)
     assert compress(g) == g
+
+
+@given(st.one_of(step_pwl(), linear_pwl(), quadratic_pwl()),
+       st.lists(st.sampled_from([*DY, -0.0]), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_compress_folds_as_the_walk_it_replaced(f, extra):
+    # refining adds breaks that only continue a piece: compress drops them
+    g = f.with_breaks(tuple(sorted(set(extra))))
+    assert repr(compress(g)) == repr(support._compress(g))
+    assert repr(compress(f)) == repr(support._compress(f))
 
 
 def test_compress_normalizes_negative_zero():

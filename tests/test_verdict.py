@@ -163,8 +163,9 @@ class TestWitnessTieBreak:
 # -- rows are built when read, once ----------------------------------------
 
 def test_ssd_builds_its_rows_only_when_diagnostics_is_read(monkeypatch):
+    # a step pair under SSD's constant weight is scanned at its cell starts
     calls = {"row": 0, "rows": 0}
-    scan = dominance._weighted_slack_candidates
+    scan = dominance._cell_starts
 
     def counting(*args):
         slack, row, place, rows = scan(*args)
@@ -178,7 +179,7 @@ def test_ssd_builds_its_rows_only_when_diagnostics_is_read(monkeypatch):
             return rows()
         return slack, counted_row, place, counted_rows
 
-    monkeypatch.setattr(dominance, "_weighted_slack_candidates", counting)
+    monkeypatch.setattr(dominance, "_cell_starts", counting)
     # F lags G by 1/16 at each of 32 atoms: the deficit binds from the last one on
     F = _pmf(*((k / 8.0 + 0.0625, 1.0 / 32.0) for k in range(32)))
     G = _pmf(*((k / 8.0, 1.0 / 32.0) for k in range(32)))
