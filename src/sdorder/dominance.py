@@ -6,11 +6,12 @@ inequality over all of the real line. The slack is piecewise polynomial
 by refining the CDF difference at its sign changes and merging in the
 weight function's breakpoints, so the infimum is attained at finitely
 many candidate points: segment starts, left limits at segment ends, and
-interior stationary points. No gridding, no sampling. On a step pair the
-surplus and deficit are continuous and linear on each cell of the
-geometry, so a left limit repeats the next cell's start and loses its tie
-to it: SSD, FRAC and a constant MFSD read the cell starts alone, and FFSD
-(step weight) and EASD (constant) walk the cells and weight breaks once.
+interior stationary points. No gridding, no sampling. Each scan lists
+points before left limits, each kind left to right, so the witness is
+the first candidate near the margin, one with mass if any: no sort. On a
+step pair a left limit repeats the next cell's start, so SSD, FRAC and a
+constant MFSD read the starts alone, and EASD under a constant epsilon
+sums the deficit cells in one pass, at half the cost of the general walk.
 
 A margin of at least -tol counts as holding; ties at zero are holds,
 matching the weak inequalities that define the orders.
@@ -18,6 +19,7 @@ matching the weak inequalities that define the orders.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from enum import Enum
@@ -25,9 +27,9 @@ from functools import reduce
 from itertools import chain
 
 from .distributions import Distribution
-from .gamma import DivisionByZeroGamma, EpsilonFn, GammaFn, validate_epsilon, validate_gamma
+from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import PairGeometry, pair_geometry
-from .piecewise import PiecewiseFn, _widths, common_grid, merge_grids, weighted_area_fn_values
+from .piecewise import PiecewiseFn, _widths, common_grid, weighted_area_fn_values
 from .piecewise import signed_parts  # noqa: F401 - bench/test_bench.py reads it here
 
 __all__ = [
@@ -92,62 +94,64 @@ class Verdict:
     __delattr__ = __setattr__
 
 
-def _settle(tag: OrderTag, slack: list[float], row, place, rows, tol: float) -> Verdict:
-    """Verdict from the slack rhs - lhs of every candidate. row(i) is
-    candidate i as (t, lhs, rhs) and place(i) is (limit, t), limit telling
-    that its value is approached from below t; rows() builds them all."""
+def _settle(tag: OrderTag, slack: list[float], row, rows, tol: float) -> Verdict:
+    """Verdict from the slack rhs - lhs of every candidate, listed in the
+    order that ranks witnesses: points before one-sided limits, each kind
+    left to right. row(i) is candidate i as (t, lhs, rhs); rows() all rows."""
     margin = min(slack)
-    # Among the rows within tol of the margin, prefer witnesses with real mass
-    # on both sides, then points over one-sided limits, then the leftmost.
-    near = sorted((i for i, s in enumerate(slack) if s - margin <= tol), key=place)
-    massive = (i for i in near for _, l, r in (row(i),) if not abs(l) + abs(r) <= tol)
-    best = next(massive, near[0] if near else None)
-    return Verdict(margin >= -tol, None if best is None else place(best)[1], margin, tag, rows)
+    # the first row within tol of the margin with real mass on either side, else the first row
+    near = (row(i) for i, s in enumerate(slack) if s - margin <= tol)
+    first = next(near, None)
+    best = next((r for r in chain((first,), near) if r and not abs(r[1]) + abs(r[2]) <= tol), first)
+    return Verdict(margin >= -tol, None if best is None else best[0], margin, tag, rows)
 
 
 def check_fsd(F: Distribution, G: Distribution, tol: float = 1e-9) -> Verdict:
     """First order: F(x) >= G(x) everywhere."""
     diff, f, g, flat = pair_geometry(F, G).diff, F.carrier, G.carrier, chain.from_iterable
     grid, walk = diff.breaks, lambda c: flat(c._values_on(diff.breaks))
+    m = len(grid)
     if f._degree or g._degree:
-        # candidates 2k and 2k + 1: the value and the left limit at grid[k]
-        slack, place = [*map(operator.sub, walk(f), walk(g))], lambda i: (i & 1, grid[i >> 1])
+        # candidate k is the value at grid[k], m + k the left limit there
+        slack = [*map(operator.sub, *(flat(zip(*c._values_on(grid))) for c in (f, g)))]
     else:
         # a step pair's F - G at grid[k] is diff's cell there read as c0 + (c1 + c2); a left
         # limit past grid[0] repeats the value before it, which wins its ties, so it is left out
-        d = [c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs]
-        slack, place = [d[0], diff.left, *d[1:]], lambda i: (i == 1, grid[i - (i > 0)])
-    at = lambda c, i: (c.left_limit if place(i)[0] else c.value)(place(i)[1])  # noqa: E731
-    return _settle(OrderTag.FSD, slack, lambda i: (place(i)[1], at(g, i), at(f, i)), place,
+        slack = [*(c0 + (c1 + c2) for c0, c1, c2 in diff.coeffs), diff.left]
+    at = lambda c, i: (c.value if i < m else c.left_limit)(grid[i % m])  # noqa: E731
+    return _settle(OrderTag.FSD, slack, lambda i: (grid[i % m], at(g, i), at(f, i)),
                    lambda: tuple(zip(flat(zip(grid, grid)), walk(g), walk(f))), tol)
 
 
 def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: PiecewiseFn):
-    """(slack, row, place, rows) for _settle; the slack is gamma(t) *
-    surplus(t) - deficit(t). Candidate 0 is the left limit at the first
-    break, 2k + 1 and 2k + 2 the start of cell k and the left limit at its
-    end; the start of the unbounded cell and the stationary points follow.
-    On deficit stretches the surplus side is frozen, so the slack's
-    derivative is linear there and its lone stationary point is solved
-    exactly; everywhere else the slack is monotone on each cell."""
+    """(slack, row, rows) for _settle; the slack is gamma(t) * surplus(t) -
+    deficit(t). Candidate 0, the left limit at the first break, ties with
+    the first start (both areas are 0) and keeps the sign of a zero margin;
+    each cell's start and stationary point, the start of the unbounded cell
+    and each cell end's left limit follow. On deficit stretches the surplus
+    side is frozen, so the slack's derivative is linear and its lone
+    stationary point exact; elsewhere the slack is monotone on each cell."""
     grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
     first = grid[0], An.left, gamma.left * Ap.left
     last = grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]
-    slack = [first[2] - first[1]]
-    inner = {}  # cell -> offset of its stationary point
+    slack, ends, inner, at = [first[2] - first[1]], [], {}, []  # at: inner's candidates
     # bounded cells: a left limit sits at the next break itself, not at b + h
     for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in zip(grid, grid[1:], apc, anc, gmc):
         h = end - b
-        slack += (g0 * a0 - n0, (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2))
-                  - (n0 + h * (n1 + h * n2)))
+        slack.append(g0 * a0 - n0)
+        ends.append((g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)) - (n0 + h * (n1 + h * n2)))
         if (g2 or n2) and (n1 != 0.0 or n2 != 0.0):
             # slack' = gamma'(d) * surplus - deficit'(d), linear in d
             s = 2.0 * (g2 * a0 - n2)
             d = -(g1 * a0 - n1) / s if s != 0.0 else h
             if 0.0 < d < h:
-                inner[len(slack) // 2 - 1] = d
-    # past the last break nothing accrues: its start is the last candidate
+                inner[len(ends) - 1] = d
+                at.append(len(slack))
+                slack.append((g0 + d * (g1 + d * g2)) * a0 - (n0 + d * (n1 + d * n2)))
+    # past the last break nothing accrues: its start is the last point
     slack.append(last[2] - last[1])
+    points = len(slack)
+    slack += ends
 
     def cell(k: int) -> list[tuple[float, float, float]]:  # start, end's limit, stationary point
         b, end, d = grid[k], grid[k + 1], inner.get(k)
@@ -158,27 +162,30 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
             out.append((b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0))
         return out
 
-    n, curved = len(slack), [*inner]
-    slack += [r - l for k in curved for _, l, r in (cell(k)[2],)]
-
     def row(i: int) -> tuple[float, float, float]:
-        k, end = divmod(i - 1, 2)
-        return (cell(curved[i - n])[2] if i >= n else first if k < 0
-                else last if i == n - 1 else cell(k)[end])
+        if i >= points:
+            return cell(i - points)[1]
+        j = bisect.bisect_left(at, i)  # stationary points before candidate i
+        if j < len(at) and at[j] == i:
+            return cell([*inner][j])[2]
+        return first if i == 0 else last if i == points - 1 else cell(i - 1 - j)[0]
 
-    return (slack, row, lambda i: (not i & 1, grid[i >> 1]) if i < n else (False, row(i)[0]),
-            lambda: (first, *chain.from_iterable(map(cell, range(n // 2 - 1))), last))
+    return slack, row, lambda: (first, *chain.from_iterable(map(cell, range(len(ends)))), last)
 
 
 def _cell_starts(geom: PairGeometry, gamma: PiecewiseFn):
     """The candidates of a step pair under a constant weight g: g * Ap - An
     at each cell start. Ap and An are continuous and start at 0, so each left
-    limit has the bits and row of the start after it and loses its tie."""
+    limit repeats the start there (its row reads g + 0.0) and loses its tie."""
     grid, g = geom.grid, gamma.left
     ap, an = [c[0] for c in geom.Ap.coeffs], [c[0] for c in geom.An.coeffs]
-    return ([g * a - n for a, n in zip(ap, an)], lambda k: (grid[k], an[k], g * ap[k]),
-            lambda k: (False, grid[k]),
-            lambda: _weighted_slack_candidates(geom.Ap, geom.An, gamma)[3]())
+
+    def rows() -> tuple[tuple[float, float, float], ...]:
+        starts, lim = [*zip(grid, an, [g * a for a in ap])], g + 0.0
+        ends = zip(grid[1:], an[1:], [lim * a for a in ap[1:]])
+        return (starts[0], *chain.from_iterable(zip(starts, ends)), starts[-1])
+
+    return [g * a - n for a, n in zip(ap, an)], lambda k: (grid[k], an[k], g * ap[k]), rows
 
 
 def _graded(tag: OrderTag, F: Distribution, G: Distribution, gamma: PiecewiseFn,
@@ -217,27 +224,12 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     DivisionByZeroGamma.
     """
     w, geom = validate_gamma(g, tol).carrier, pair_geometry(F, G)
-    if geom.diff._degree or w._degree:
-        grid, weighted = weighted_area_fn_values(geom.neg, w)
-        # Ap at every node from one walk: c0 there is the number value gives
-        ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
-    else:  # a step pair under a step weight: one walk of its cells and the weight's breaks
-        grid, ap, weighted = merge_grids(geom.grid, w.breaks), [], [0.0]
-        cells, breaks, i, j = (*geom.grid, math.inf), (*w.breaks, math.inf), 0, 0
-        a0, a1, v, start, level = 0.0, 0.0, 0.0, cells[0], w.left  # left of every cell
-        for t, h in zip(grid, _widths(grid)):
-            if t == cells[i]:
-                (a0, a1, _), (v, _, _), start, i = geom.Ap.coeffs[i], geom.neg.coeffs[i], t, i + 1
-            if t == breaks[j]:
-                level, j = w.coeffs[j][0], j + 1
-            if v and not level > 0.0:
-                raise DivisionByZeroGamma("zero weight on a segment with mass")
-            ap.append(a0 + (t - start) * a1)  # Ap's shift: its quad term is a zero
-            weighted.append(weighted[-1] + v * h / level if v else weighted[-1])  # 0 past the end
-    # beyond the last break both sides are frozen, so the final node
-    # already carries the t -> infinity comparison
+    grid, weighted = weighted_area_fn_values(geom.neg, w)
+    # Ap at every node from one walk (c0 there is value's number); past the last break
+    # both sides are frozen, so the final node carries the t -> infinity comparison
+    ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
     return _settle(OrderTag.FFSD, [*map(operator.sub, ap, weighted)],
-                   lambda i: (grid[i], weighted[i], ap[i]), lambda i: (False, grid[i]),
+                   lambda i: (grid[i], weighted[i], ap[i]),
                    lambda: tuple(zip(grid, weighted, ap)), tol)
 
 

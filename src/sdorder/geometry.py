@@ -152,5 +152,7 @@ def pair_geometry(F: Distribution, G: Distribution) -> PairGeometry:
         geom = PairGeometry(diff := f.sub(g), *signed_parts(diff))
     else:
         geom = _step_geometry(f, g)
+    if not math.isfinite(span := geom.grid[-1] - geom.grid[0]):  # a finite span bounds each area
+        raise ValueError(f"pair span must be finite, got {span!r}")
     _last = (weakref.ref(F, _forget), weakref.ref(G, _forget), geom)
     return geom

@@ -19,7 +19,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 __all__ = [
     "DivisionByZeroGamma",
@@ -391,13 +391,11 @@ def cum_area_fn(f: PiecewiseFn) -> PiecewiseFn:
 
 def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, float],
                       h: float) -> float:
-    """integral over [0,h] of (n0 + n1 d) / (g0 + g1 d) dd, exact."""
+    """integral over [0,h] of (n0 + n1 d) / (g0 + g1 d) dd, exact; h > 0, num not all 0."""
     n0, n1, n2 = num
     g0, g1, g2 = den
     if n2 != 0.0 or g2 != 0.0:
         raise ValueError("weighted integration is defined for degree <= 1 pieces")
-    if h == 0.0 or (n0 == 0.0 and n1 == 0.0):
-        return 0.0
     if g1 == 0.0:
         if g0 <= 0.0:
             raise DivisionByZeroGamma("zero weight on a segment with mass")
@@ -410,19 +408,27 @@ def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, 
 
 
 def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(grid, the union of both break sets, and the integral of f(x)/w(x)
-    up to each of its points); monotone in between, so min scans are exact.
-    f has no mass on the unbounded ends: the last value is the total."""
+    """(grid, the union of both break sets, and the integral of f(x)/w(x) up to
+    each point, monotone in between) in one walk of both: a piece is shifted from
+    its own break as _coeffs_on shifts it, unless flat, and a flat positive weight
+    divides inline, as _weighted_segment would. f has no mass on either tail."""
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
-    grid, (fc, wc) = common_grid(f, w)
-
-    def area(h: float, num: tuple[float, float, float], den: tuple[float, float, float]) -> float:
-        if not any(num):
-            return 0.0
-        if h == math.inf:
+    grid, fb, wb = merge_grids(f.breaks, w.breaks), (*f.breaks, math.inf), (*w.breaks, math.inf)
+    values, total, i, j = [], 0.0, 0, 0
+    num, fs, den, ws = _ZERO, 0.0, (w.left, 0.0, 0.0), 0.0  # the flat pieces left of every break
+    for t, h in zip(grid, _widths(grid)):
+        values.append(total)
+        if t == fb[i]:
+            num, fs, i = f.coeffs[i], t, i + 1
+        if t == wb[j]:
+            den, ws, j = w.coeffs[j], t, j + 1
+        n0, n1, n2 = n = num if t == fs or not (num[1] or num[2]) else _poly_shift(num, t - fs)
+        if not (n0 or n1 or n2):
+            continue
+        if h == math.inf:  # the last cell is only checked for mass: the total past it is not a node
             raise NonIntegrableTail("right tail must be identically zero")
-        return _weighted_segment(num, den, h)
-
-    # the last cell is only checked for mass: the total past it is not a node
-    return grid, tuple(accumulate(map(area, _widths(grid), fc, wc), initial=0.0))[:-1]
+        d = den if not (den[1] or den[2]) or t == ws else _poly_shift(den, t - ws)
+        total += ((n0 * h + n1 * h * h / 2.0) / d[0] if d[0] > 0.0 and not (d[1] or d[2] or n2)
+                  else _weighted_segment(n, d, h))
+    return grid, tuple(values)

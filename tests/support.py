@@ -12,11 +12,10 @@ import random
 from itertools import accumulate, chain
 
 import sdorder as sd
-from sdorder import dominance
 from sdorder.geometry import PairGeometry, pair_geometry
-from sdorder.piecewise import (_ZERO, NonIntegrableTail, _cell_signs, _poly_roots, _poly_shift,
-                               _poly_value, _weighted_segment, _widths, common_grid, compress,
-                               cum_area_fn, merge_grids, signed_parts)
+from sdorder.piecewise import (_ZERO, DivisionByZeroGamma, NonIntegrableTail, _cell_signs,
+                               _poly_roots, _poly_shift, _poly_value, _weighted_segment, _widths,
+                               common_grid, compress, cum_area_fn, merge_grids, signed_parts)
 
 GRID = [k / 8.0 for k in range(-32, 33)]
 
@@ -286,10 +285,10 @@ def merge_walk_fsd(F: sd.Distribution, G: sd.Distribution, tol: float = 1e-9) ->
     limit at grid[k]."""
     grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
     gv, fv, flat = _walked_values(G.carrier, grid), _walked_values(F.carrier, grid), chain.from_iterable
-    return dominance._settle(sd.OrderTag.FSD, [*map(operator.sub, flat(fv), flat(gv))],
-                             lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
-                             lambda i: (i & 1, grid[i >> 1]),
-                             lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)
+    return _sorting_settle(sd.OrderTag.FSD, [*map(operator.sub, flat(fv), flat(gv))],
+                           lambda i: (grid[i >> 1], gv[i >> 1][i & 1], fv[i >> 1][i & 1]),
+                           lambda i: (i & 1, grid[i >> 1]),
+                           lambda: tuple(zip(flat(zip(grid, grid)), flat(gv), flat(fv))), tol)
 
 
 # -- the scans of a step pair as they were before they read the geometry's
@@ -433,3 +432,41 @@ def folded_min_gamma(F, G, tol=1e-9):
             raise sd.NotSSDOrdered(cur)
     return sd.validate_gamma(_compress(sd.PiecewiseFn(tuple(env_breaks), 0.0, tuple(env_coeffs))),
                              tol)
+
+
+# -- weighted_area_fn_values as it walked f and w onto their merged grid
+#    with common_grid and summed the cells' areas with accumulate, each
+#    through _weighted_segment as it was then
+
+
+def _segment_area(num, den, h):
+    n0, n1, n2 = num
+    g0, g1, g2 = den
+    if n2 != 0.0 or g2 != 0.0:
+        raise ValueError("weighted integration is defined for degree <= 1 pieces")
+    if h == 0.0 or (n0 == 0.0 and n1 == 0.0):
+        return 0.0
+    if g1 == 0.0:
+        if g0 <= 0.0:
+            raise DivisionByZeroGamma("zero weight on a segment with mass")
+        return (n0 * h + n1 * h * h / 2.0) / g0
+    end = g0 + g1 * h
+    if g0 <= 0.0 or end <= 0.0:
+        raise DivisionByZeroGamma("weight must stay positive across the segment")
+    log_term = math.log(end / g0) / g1
+    return (n1 / g1) * h + (n0 - n1 * g0 / g1) * log_term
+
+
+def accumulated_weighted_values(f, w):
+    if f.left != 0.0:
+        raise NonIntegrableTail("left tail must be identically zero")
+    grid, (fc, wc) = common_grid(f, w)
+
+    def area(h, num, den):
+        if not any(num):
+            return 0.0
+        if h == math.inf:
+            raise NonIntegrableTail("right tail must be identically zero")
+        return _segment_area(num, den, h)
+
+    return grid, tuple(accumulate(map(area, _widths(grid), fc, wc), initial=0.0))[:-1]

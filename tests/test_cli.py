@@ -97,6 +97,17 @@ class TestCheck:
                            "--f", str(hi), "--g", str(lo))
         assert code == 1 and "holds: false" in out
 
+    def test_a_pair_whose_span_overflows_exits_2(self, tmp_path, capsys):
+        f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+        f.write_text("-9e307\n")
+        g.write_text("9e307\n")
+        for command in (["check", "--order", "ssd"], ["check", "--order", "fsd"],
+                        ["check", "--order", "ffsd", "--gamma-const", "0.5"],
+                        ["min-gamma"], ["min-epsilon"]):
+            for a, b in ((g, f), (f, g)):
+                code, out, err = run(capsys, *command, "--f", str(a), "--g", str(b))
+                assert (code, out) == (2, "") and "pair span must be finite" in err
+
     def test_easd_with_epsilon_file(self, crossing_files, tmp_path, capsys):
         # a single constant piece extends leftward for epsilon inputs
         eps = tmp_path / "eps.json"

@@ -218,8 +218,11 @@ def _settle_by_flagged_candidates(rows, limits, tol):
                 min_size=1, max_size=12),
        st.sets(st.integers(0, 11)), st.sampled_from([0.0, 1e-9, 0.25]))
 def test_settle_picks_the_witness_the_flagged_scan_picks(rows, limits, tol):
+    # the scans list their candidates in witness order: points, then limits, each left to right
+    order = sorted(range(len(rows)), key=lambda i: (i in limits, rows[i][0]))
+    rows, limits = [rows[i] for i in order], {k for k, i in enumerate(order) if i in limits}
     v = _settle(OrderTag.SSD, [r - l for _, l, r in rows], rows.__getitem__,
-                lambda i: (i in limits, rows[i][0]), lambda: tuple(rows), tol)
+                lambda: tuple(rows), tol)
     assert repr((v.holds, v.witness_t, v.margin)) == repr(
         _settle_by_flagged_candidates(rows, limits, tol))
     assert v.diagnostics == tuple(rows)
@@ -238,11 +241,42 @@ def test_ffsd_reads_the_surplus_that_point_evaluation_gives(F, G):
 @given(cdfs(), cdfs(), st.sampled_from([RAMP, STEP, sd.GammaFn.const(1.0 / 3.0)]))
 def test_left_limit_rows_are_the_cell_ends(F, G, gamma):
     geom = pair_geometry(F, G)
-    slack, row, place, _ = _weighted_slack_candidates(geom.Ap, geom.An, gamma.carrier)
+    slack, row, built = _weighted_slack_candidates(geom.Ap, geom.An, gamma.carrier)
     rows = [row(i) for i in range(len(slack))]
-    # a left limit closes each bounded cell at the break where the next starts
+    assert sorted(map(repr, rows)) == sorted(map(repr, built()))
+    # candidate 0 is the left limit at the first break; the points follow, left to right; a
+    # left limit closes each bounded cell at the break where the next starts, and they come last
     grid = merge_grids(geom.grid, gamma.carrier.breaks)
-    ends = [i for i in range(len(rows)) if place(i)[0]]
-    assert ends[0] == 0 and len(ends) == len(grid)
-    assert [rows[i][0] for i in ends[1:]] == list(grid[1:])
-    assert all(rows[i - 1][0] < rows[i][0] for i in ends[1:])
+    points, ends = rows[1:len(rows) - len(grid) + 1], rows[len(rows) - len(grid) + 1:]
+    assert rows[0][0] == grid[0] and [t for t, _, _ in ends] == list(grid[1:])
+    assert all(a[0] <= b[0] for a, b in zip(points, points[1:]))
+    assert set(grid) <= {t for t, _, _ in points}
+
+
+def test_the_weight_below_the_first_break_keeps_the_sign_of_a_zero_margin():
+    # F against itself: every slack is a zero, and the -0.0 weight left of 0
+    # makes the left limit at the first break the one -0.0 among them
+    F = sd.DiscretePMF(((0.0, 0.5), (2.0, 0.5))).to_distribution()
+    v = sd.check_mfsd(F, F, sd.PiecewiseFn.step((0.0,), (-0.0, 0.5)))
+    assert repr((v.holds, v.witness_t, v.margin)) == "(True, 0.0, -0.0)"
+
+
+# -- a pair whose span overflows a float ----------------------------------
+
+SPAN_CALLS = [sd.check_fsd, sd.check_ssd, lambda A, B: sd.check_fractional(A, B, 0.5),
+              lambda A, B: sd.check_mfsd(A, B, sd.GammaFn.const(0.5)),
+              lambda A, B: sd.check_ffsd(A, B, sd.GammaFn.const(0.5)),
+              lambda A, B: sd.check_easd(A, B, sd.EpsilonFn.const(0.25)),
+              sd.min_gamma, sd.min_constant_gamma, sd.min_constant_epsilon]
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["steps", "linear"])
+def test_a_pair_whose_span_overflows_is_refused_by_every_call(linear):
+    # 9e307 - (-9e307) is inf: widths and areas past it would be inf or nan
+    G = sd.dirac(9e307)
+    F = sd.dirac(-9e307) if not linear else sd.Distribution(sd.PiecewiseFn(
+        (-9e307, -8e307), 0.0, ((0.0, 1e-307, 0.0), (1.0, 0.0, 0.0))), -8.5e307, -9e307)
+    for call in SPAN_CALLS:
+        for A, B in ((F, G), (G, F)):
+            with pytest.raises(ValueError, match="pair span must be finite, got inf"):
+                call(A, B)

@@ -55,6 +55,38 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def _imports(body: list) -> list:
+    """(bound name, alias node, statement) for every import outside functions and classes."""
+    out = []
+    for node in body:
+        if isinstance(node, ast.If):
+            out += _imports(node.body + node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"):
+            out += [((a.asname or a.name).partition(".")[0], a, node)
+                    for a in node.names if a.name != "*"]
+    return out
+
+
+def test_every_module_level_import_is_read_exported_or_marked():
+    unused = []
+    for path in sorted(Path(sdorder.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"] and isinstance(node.value, (ast.List, ast.Tuple))):
+                exported = {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+        for name, alias, node in _imports(tree.body):
+            marked = any("# noqa: F401" in lines[n - 1] for n in {node.lineno, alias.lineno})
+            if name not in read | exported and not marked:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
+
+
 def test_every_exported_name_resolves():
     for name in sdorder.__all__:
         assert getattr(sdorder, name) is not None, name

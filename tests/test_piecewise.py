@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdorder.geometry import total_area_from_cum
+from sdorder.geometry import pair_geometry, total_area_from_cum
 from sdorder.piecewise import (
     DivisionByZeroGamma,
     NonIntegrableTail,
@@ -20,6 +20,7 @@ from sdorder.piecewise import (
 )
 import support
 from support import crossings, first_negative_point
+from test_geometry import RAMP, STEP, cdfs, steps
 
 DY = [k / 8.0 for k in range(-24, 25)]
 
@@ -469,6 +470,49 @@ def test_weighted_area_zero_weight_only_matters_with_mass():
     w_bad = PiecewiseFn.step((1.5,), (0.0, 0.5))  # zero under live mass
     with pytest.raises(DivisionByZeroGamma):
         weighted_area_fn_values(f, w_bad)
+
+
+# weights for the walk: steps, a ramp, constants (0 among them), a curved weight
+# (quadratic on [-1, 1)), a sloped epsilon, and a slope that reaches 0 at x = 0
+WALK_WEIGHTS = [STEP.carrier, RAMP.carrier, *map(PiecewiseFn.constant, (0.0, 1.0 / 3.0, 1.0)),
+                PiecewiseFn((-1.0, 1.0), 0.25, ((0.25, 0.5, -0.125), (0.75, 0.0, 0.0))),
+                PiecewiseFn((0.0, 1.0), 0.1, ((0.1, 0.2, 0.0), (0.3, 0.0, 0.0))),
+                PiecewiseFn((-1.0, 1.0), 0.5, ((0.5, -0.5, 0.0), (0.25, 0.0, 0.0)))]
+
+
+def _result(call, *args) -> str:
+    """repr of a result, or the type and message of the error it raised."""
+    try:
+        return repr(call(*args))
+    except (ValueError, ZeroDivisionError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(steps(), cdfs()), st.one_of(steps(), cdfs()), st.sampled_from(WALK_WEIGHTS))
+def test_weighted_walk_matches_the_accumulated_port(F, G, w):
+    geom = pair_geometry(F, G)
+    for f in (geom.neg, geom.pos, geom.diff):
+        assert _result(weighted_area_fn_values, f, w) == _result(
+            support.accumulated_weighted_values, f, w)
+
+
+def test_weighted_area_raises_on_each_piece_it_cannot_integrate():
+    unit = PiecewiseFn((0.0, 2.0), 0.0, ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    with pytest.raises(NonIntegrableTail, match="left tail"):
+        weighted_area_fn_values(PiecewiseFn((0.0,), 1.0, ((0.0, 0.0, 0.0),)), unit)
+    with pytest.raises(NonIntegrableTail, match="right tail"):
+        weighted_area_fn_values(PiecewiseFn((0.0,), 0.0, ((1.0, 0.0, 0.0),)), unit)
+    quad = PiecewiseFn((0.0, 1.0), 0.0, ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="degree <= 1"):
+        weighted_area_fn_values(quad, PiecewiseFn.constant(1.0))
+    with pytest.raises(ValueError, match="degree <= 1"):
+        weighted_area_fn_values(unit, PiecewiseFn((0.0,), 1.0, ((1.0, 0.0, 1.0),)))
+    # 1 - d/2 reaches 0 at the end of the unit's cell [0, 2)
+    with pytest.raises(DivisionByZeroGamma, match="stay positive"):
+        weighted_area_fn_values(unit, PiecewiseFn((0.0,), 1.0, ((1.0, -0.5, 0.0),)))
+    with pytest.raises(DivisionByZeroGamma, match="zero weight"):
+        weighted_area_fn_values(unit, PiecewiseFn.constant(0.0))
 
 
 def test_crossings_attribute_zero_runs_to_the_later_region():

@@ -168,7 +168,7 @@ def test_ssd_builds_its_rows_only_when_diagnostics_is_read(monkeypatch):
     scan = dominance._cell_starts
 
     def counting(*args):
-        slack, row, place, rows = scan(*args)
+        slack, row, rows = scan(*args)
 
         def counted_row(i):
             calls["row"] += 1
@@ -177,7 +177,7 @@ def test_ssd_builds_its_rows_only_when_diagnostics_is_read(monkeypatch):
         def counted_rows():
             calls["rows"] += 1
             return rows()
-        return slack, counted_row, place, counted_rows
+        return slack, counted_row, counted_rows
 
     monkeypatch.setattr(dominance, "_cell_starts", counting)
     # F lags G by 1/16 at each of 32 atoms: the deficit binds from the last one on
