@@ -19,7 +19,6 @@ matching the weak inequalities that define the orders.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from enum import Enum
@@ -134,10 +133,12 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
     grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
     first = grid[0], An.left, gamma.left * Ap.left
     last = grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]
-    slack, ends, inner, at = [first[2] - first[1]], [], {}, []  # at: inner's candidates
+    slack, ends, inner, spots = [first[2] - first[1]], [], {}, []  # spots: (cell, slot) per point
     # bounded cells: a left limit sits at the next break itself, not at b + h
-    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in zip(grid, grid[1:], apc, anc, gmc):
+    cells = zip(grid, grid[1:], apc, anc, gmc)
+    for k, (b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2)) in enumerate(cells):
         h = end - b
+        spots.append((k, 0))
         slack.append(g0 * a0 - n0)
         ends.append((g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)) - (n0 + h * (n1 + h * n2)))
         if (g2 or n2) and (n1 != 0.0 or n2 != 0.0):
@@ -145,8 +146,8 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
             s = 2.0 * (g2 * a0 - n2)
             d = -(g1 * a0 - n1) / s if s != 0.0 else h
             if 0.0 < d < h:
-                inner[len(ends) - 1] = d
-                at.append(len(slack))
+                inner[k] = d
+                spots.append((k, 2))
                 slack.append((g0 + d * (g1 + d * g2)) * a0 - (n0 + d * (n1 + d * n2)))
     # past the last break nothing accrues: its start is the last point
     slack.append(last[2] - last[1])
@@ -165,10 +166,10 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
     def row(i: int) -> tuple[float, float, float]:
         if i >= points:
             return cell(i - points)[1]
-        j = bisect.bisect_left(at, i)  # stationary points before candidate i
-        if j < len(at) and at[j] == i:
-            return cell([*inner][j])[2]
-        return first if i == 0 else last if i == points - 1 else cell(i - 1 - j)[0]
+        if 0 < i < points - 1:
+            k, slot = spots[i - 1]
+            return cell(k)[slot]
+        return first if i == 0 else last
 
     return slack, row, lambda: (first, *chain.from_iterable(map(cell, range(len(ends)))), last)
 

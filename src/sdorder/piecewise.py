@@ -410,8 +410,8 @@ def _weighted_segment(num: tuple[float, float, float], den: tuple[float, float, 
 def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(grid, the union of both break sets, and the integral of f(x)/w(x) up to
     each point, monotone in between) in one walk of both: a piece is shifted from
-    its own break as _coeffs_on shifts it, unless flat, and a flat positive weight
-    divides inline, as _weighted_segment would. f has no mass on either tail."""
+    its own break as _coeffs_on shifts it, unless flat, and each cell with mass is
+    integrated by _weighted_segment. f has no mass on either tail."""
     if f.left != 0.0:
         raise NonIntegrableTail("left tail must be identically zero")
     grid, fb, wb = merge_grids(f.breaks, w.breaks), (*f.breaks, math.inf), (*w.breaks, math.inf)
@@ -429,6 +429,5 @@ def weighted_area_fn_values(f: PiecewiseFn, w: PiecewiseFn) -> tuple[tuple[float
         if h == math.inf:  # the last cell is only checked for mass: the total past it is not a node
             raise NonIntegrableTail("right tail must be identically zero")
         d = den if not (den[1] or den[2]) or t == ws else _poly_shift(den, t - ws)
-        total += ((n0 * h + n1 * h * h / 2.0) / d[0] if d[0] > 0.0 and not (d[1] or d[2] or n2)
-                  else _weighted_segment(n, d, h))
+        total += _weighted_segment(n, d, h)
     return grid, tuple(values)
