@@ -4,7 +4,8 @@ Subcommands wrap the library: order checks, minimal-weight computation,
 greediness profiles, sampling cross-checks, and fixture generation.
 Exit codes: 0 the check holds or the command succeeded, 1 a valid
 negative verdict (order fails, no admissible weight, disagreement), 2
-usage or validation errors.
+usage or validation errors. The greediness, oracle and generate commands
+live in cli_extra, which is imported only when one of them runs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import math
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import dominance
 from .distributions import Distribution, from_samples
@@ -30,12 +31,7 @@ from .gamma import (
     validate_epsilon,
     validate_gamma,
 )
-from .piecewise import DivisionByZeroGamma, PiecewiseFn, _poly_value, merge_grids
-
-# The utility, oracle and generator layers are imported inside the commands
-# that run them, so check, min-gamma and min-epsilon never load them.
-if TYPE_CHECKING:
-    from .utility import UtilityPWL
+from .piecewise import DivisionByZeroGamma, PiecewiseFn, _poly_value
 
 DEFAULT_TOL = 1e-9
 TOL_ENV = "SDORDER_TOL"
@@ -166,31 +162,6 @@ def load_epsilon(path: str) -> EpsilonFn:
         raise InputError(f"{path}: {e}") from e
 
 
-def load_utility(path: str) -> UtilityPWL:
-    from .utility import UtilityPWL
-
-    obj = _load_json(path)
-    if obj.get("kind") != "utility":
-        raise InputError(f"{path}: expected kind 'utility', got {obj.get('kind')!r}")
-    try:
-        anchor = (_finite(obj["anchor"]["x"]), _finite(obj["anchor"]["value"]))
-        segs = obj["segments"]
-        if not isinstance(segs, list) or not segs:
-            raise InputError(f"{path}: 'segments' must be a non-empty list")
-        if segs[0]["from"] != "-inf":
-            raise InputError(f"{path}: first segment must start at \"-inf\"")
-        slopes = [_finite(s["slope"]) for s in segs]
-        breaks = [_finite(s["from"]) for s in segs[1:]]
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: {e}") from e
-    try:
-        return UtilityPWL(tuple(breaks), tuple(slopes), anchor=anchor)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
-
-
 def serialize_distribution(F: Distribution) -> str:
     return json.dumps(_carrier_to_pieces(F.carrier, "cdf")) + "\n"
 
@@ -201,21 +172,6 @@ def serialize_gamma(g: GammaFn) -> str:
 
 def serialize_epsilon(e: EpsilonFn) -> str:
     return json.dumps(_carrier_to_pieces(e.carrier, "epsilon")) + "\n"
-
-
-def _utility_obj(u: UtilityPWL) -> dict:
-    segments = [{"from": "-inf", "slope": u.slopes[0]}]
-    for b, s in zip(u.breaks, u.slopes[1:]):
-        segments.append({"from": b, "slope": s})
-    return {
-        "kind": "utility",
-        "anchor": {"x": u.anchor[0], "value": u.anchor[1]},
-        "segments": segments,
-    }
-
-
-def serialize_utility(u: UtilityPWL) -> str:
-    return json.dumps(_utility_obj(u)) + "\n"
 
 
 # ---------------------------------------------------------------- reporting
@@ -419,100 +375,9 @@ def cmd_min_epsilon(args) -> int:
     return 0
 
 
-def cmd_greediness(args) -> int:
-    from .utility import global_greediness, greediness_profile
-
-    u = load_utility(args.u)
-    prof = greediness_profile(u)
-    g = global_greediness(u)
-    if args.format == "json":
-        num = _json_numbers()
-        values = ", ".join([num(v) for v in prof.values])
-        sys.stdout.write(f'{{"global": {num(g)}, "breaks": {json.dumps(list(prof.breaks))}, '
-                         f'"values": [{values}]}}\n')
-        return 0
-    lo = ["-inf"] + [f"{b:.12g}" for b in prof.breaks]
-    lines = [f"global: {g:.12g}", "profile:"]
-    lines += [f"  from={start} value={v:.12g}" for start, v in zip(lo, prof.values)]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    from . import oracle
-
-    tol = _tolerance(args)
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1")
-    _reject_unread_weights(args)
-    F = load_distribution(args.f, tol)
-    G = load_distribution(args.g, tol)
-    grid = merge_grids(F.carrier.breaks, G.carrier.breaks)
-    scfg = oracle.SamplerConfig(t_grid=(*grid, grid[-1] + 1.0), seed=args.seed,
-                                count=args.samples)
-    agreement = _decider(oracle, "agreement", args.order)
-    rep = agreement(F, G, *_weight(args, tol), scfg, tol=tol)
-    if args.format == "json":
-        num = _json_numbers()
-        violating = json.dumps(_utility_obj(rep.violating)) if rep.violating else "null"
-        sys.stdout.write(_verdict_json(rep.verdict, num, (
-            f', "agree": {_flag(rep.agree)}, "samples": {json.dumps(rep.count)}, '
-            f'"min_gap": {num(rep.min_gap)}, "violating": {violating}, '
-            f'"note": {json.dumps(rep.summary())}')))
-    else:
-        sys.stdout.write(f"order: {rep.verdict.order_tag.value}\n"
-                         f"holds: {_flag(rep.verdict.holds)}\n"
-                         f"agree: {_flag(rep.agree)}\n"
-                         f"samples: {rep.count}\n"
-                         f"min_gap: {rep.min_gap:.12g}\n"
-                         f"note: {rep.summary()}\n")
-    return 0 if rep.agree else 1
-
-
-def cmd_generate(args) -> int:
-    from .generators import (
-        example_identical_means,
-        example_local_interpolation,
-        example_squares,
-        example_strict_inclusion,
-        example_theta_family,
-    )
-
-    name = args.example
-    weighted = name in ("squares", "strict-inclusion")
-    # as in every command that reads a tolerance, it is resolved first
-    tol = _tolerance(args) if weighted else None
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InputError(f"{args.out}: {e.strerror or e}") from e
-    try:
-        if name == "identical-means":
-            F, G, g = example_identical_means(args.mu, args.eps)
-            files = [("f.json", serialize_distribution(F)),
-                     ("g.json", serialize_distribution(G)),
-                     ("gamma.json", serialize_gamma(g))]
-        elif name == "local-interpolation":
-            g = example_local_interpolation(args.t1, args.t2, args.gamma_mid)
-            files = [("gamma.json", serialize_gamma(g))]
-        elif weighted:
-            g = _resolve_gamma(args, tol)
-            F, G = (example_squares(args.gamma_target, g, args.t0) if name == "squares"
-                    else example_strict_inclusion(args.t, g, args.c))
-            files = [("f.json", serialize_distribution(F)),
-                     ("g.json", serialize_distribution(G))]
-        else:
-            u, g = example_theta_family(args.theta, args.variant, args.grid)
-            files = [("u.json", serialize_utility(u)),
-                     ("gamma.json", serialize_gamma(g))]
-    except ValueError as e:
-        raise InputError(str(e)) from e
-    for fname, text in files:
-        p = out / fname
-        p.write_text(text)
-        print(f"wrote {p}")
-    return 0
+def _extra(name: str):
+    """cli_extra's command `name`, imported only when it runs."""
+    return lambda args: getattr(import_module(".cli_extra", __package__), name)(args)
 
 
 # ---------------------------------------------------------------- dispatch
@@ -552,14 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pu = sub.add_parser("greediness", parents=[fmt], help="greediness profile of a utility")
     pu.add_argument("--u", required=True, help="utility file")
-    pu.set_defaults(fn=cmd_greediness)
+    pu.set_defaults(fn=_extra("cmd_greediness"))
 
     po = sub.add_parser("oracle", parents=[tol, fmt, pair, gamma, eps],
                         help="cross-check a verdict against sampled utilities")
     po.add_argument("--order", required=True, choices=("mfsd", "ffsd", "easd"))
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--samples", type=int, default=500)
-    po.set_defaults(fn=cmd_oracle)
+    po.set_defaults(fn=_extra("cmd_oracle"))
 
     px = sub.add_parser("generate", help="write fixture files")
     gx = px.add_subparsers(dest="example", required=True)
@@ -583,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g5.add_argument("--grid", type=int, default=8)
     for gp in (g1, g2, g3, g4, g5):
         gp.add_argument("--out", default=".", help="output directory")
-        gp.set_defaults(fn=cmd_generate)
+        gp.set_defaults(fn=_extra("cmd_generate"))
 
     return top
 

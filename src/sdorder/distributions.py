@@ -10,10 +10,9 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
-from .piecewise import PiecewiseFn, _not_finite, _poly_value
+from .piecewise import Frozen, PiecewiseFn, _not_finite, _poly_value
 
 __all__ = [
     "DiscretePMF",
@@ -99,8 +98,7 @@ def _cdf_mean(carrier: PiecewiseFn, tol: float) -> float:
     return mu
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """Validated CDF with cached mean and left support endpoint. The
     constructor checks and stores carrier as `from_cdf` does under its
     default tol, and takes mean and left_support as given."""
@@ -109,9 +107,10 @@ class Distribution:
     mean: float
     left_support: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "carrier", _ending_at_one(self.carrier, 1e-9))
-        _cdf_mean(self.carrier, 1e-9)
+    def __init__(self, carrier, mean, left_support) -> None:
+        carrier = _ending_at_one(carrier, 1e-9)
+        _cdf_mean(carrier, 1e-9)
+        self.__dict__.update(carrier=carrier, mean=mean, left_support=left_support)
 
     @staticmethod
     def from_cdf(carrier: PiecewiseFn, tol: float = 1e-9) -> "Distribution":
@@ -130,18 +129,17 @@ class Distribution:
         return self.carrier.value(x)
 
 
-@dataclass(frozen=True)
-class DiscretePMF:
+class DiscretePMF(Frozen):
     """Finite list of (location, mass) atoms; locations strictly increasing."""
 
     atoms: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, atoms) -> None:
+        if not atoms:
             raise EmptyInput("a pmf needs at least one atom")
         total = 0.0
         prev = -math.inf
-        for x, m in self.atoms:
+        for x, m in atoms:
             if not (math.isfinite(x) and math.isfinite(m)):
                 raise _not_finite("atom", location=x, mass=m)
             if not x > prev:
@@ -152,6 +150,7 @@ class DiscretePMF:
             total += m
         if abs(total - 1.0) > 1e-9:
             raise ValueError("atom masses must sum to 1")
+        self.__dict__["atoms"] = atoms
 
     def to_distribution(self) -> Distribution:
         breaks = tuple(x for x, _ in self.atoms)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from enum import Enum
 from functools import reduce
 from itertools import chain
@@ -28,7 +29,7 @@ from itertools import chain
 from .distributions import Distribution
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import PairGeometry, pair_geometry
-from .piecewise import PiecewiseFn, _widths, common_grid, weighted_area_fn_values
+from .piecewise import Frozen, PiecewiseFn, _widths, common_grid, weighted_area_fn_values
 from .piecewise import signed_parts  # noqa: F401 - bench/test_bench.py reads it here
 
 __all__ = [
@@ -52,45 +53,30 @@ class OrderTag(Enum):
     EASD = "EASD"
 
 
-class Verdict:
+class Verdict(Frozen):
     """Outcome of one dominance check: margin is the minimal slack
     rhs - lhs of the defining inequality over all t, and the check holds
     iff margin >= -tol. witness_t attains the margin (None only for the
     single-inequality order). diagnostics lists (t, lhs, rhs) at every
     candidate the scan inspected; it is given as the rows or as a callable
     that builds them on first read. Repr, ==, hash and pickle read the
-    rows, and no field can be set."""
+    rows."""
 
-    __slots__ = ("holds", "witness_t", "margin", "order_tag", "_rows")
-
-    def __init__(self, holds, witness_t, margin, order_tag, diagnostics) -> None:
-        for name, value in zip(self.__slots__, (holds, witness_t, margin, order_tag, diagnostics)):
-            object.__setattr__(self, name, value)
+    holds: bool
+    witness_t: float | None
+    margin: float
+    order_tag: OrderTag
+    diagnostics: tuple[tuple[float, float, float], ...]
 
     @property
     def diagnostics(self) -> tuple[tuple[float, float, float], ...]:
-        if callable(self._rows):
-            object.__setattr__(self, "_rows", self._rows())
-        return self._rows
+        rows = self.__dict__["diagnostics"]
+        if callable(rows):
+            rows = self.__dict__["diagnostics"] = rows()
+        return rows
 
     def __reduce__(self) -> tuple:
-        return Verdict, (self.holds, self.witness_t, self.margin, self.order_tag, self.diagnostics)
-
-    def __repr__(self) -> str:
-        names = (*self.__slots__[:4], "diagnostics")
-        return f"Verdict({', '.join(map('{}={!r}'.format, names, self.__reduce__()[1]))})"
-
-    def __eq__(self, other: object) -> bool:
-        return (self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__()[1])
-
-    def __setattr__(self, name: str, *_) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+        return Verdict, self._values(self._fields)
 
 
 def _settle(tag: OrderTag, slack: list[float], row, rows, tol: float) -> Verdict:
@@ -131,47 +117,37 @@ def _weighted_slack_candidates(Ap: PiecewiseFn, An: PiecewiseFn, gamma: Piecewis
     side is frozen, so the slack's derivative is linear and its lone
     stationary point exact; elsewhere the slack is monotone on each cell."""
     grid, (apc, anc, gmc) = common_grid(Ap, An, gamma)
-    first = grid[0], An.left, gamma.left * Ap.left
-    last = grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0]
-    slack, ends, inner, spots = [first[2] - first[1]], [], {}, []  # spots: (cell, slot) per point
+    # (t, lhs, rhs) of every candidate, flat: each point, then each cell end's
+    # limit; inner holds the numbers of the stationary points
+    flat, ends, inner = [grid[0], An.left, gamma.left * Ap.left], [], set()
     # bounded cells: a left limit sits at the next break itself, not at b + h
-    cells = zip(grid, grid[1:], apc, anc, gmc)
-    for k, (b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2)) in enumerate(cells):
+    for b, end, (a0, a1, a2), (n0, n1, n2), (g0, g1, g2) in zip(grid, grid[1:], apc, anc, gmc):
         h = end - b
-        spots.append((k, 0))
-        slack.append(g0 * a0 - n0)
-        ends.append((g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)) - (n0 + h * (n1 + h * n2)))
+        flat += (b, n0, g0 * a0)
+        ends += (end, n0 + h * (n1 + h * n2), (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)))
         if (g2 or n2) and (n1 != 0.0 or n2 != 0.0):
             # slack' = gamma'(d) * surplus - deficit'(d), linear in d
             s = 2.0 * (g2 * a0 - n2)
             d = -(g1 * a0 - n1) / s if s != 0.0 else h
             if 0.0 < d < h:
-                inner[k] = d
-                spots.append((k, 2))
-                slack.append((g0 + d * (g1 + d * g2)) * a0 - (n0 + d * (n1 + d * n2)))
+                inner.add(len(flat) // 3)
+                flat += (b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0)
     # past the last break nothing accrues: its start is the last point
-    slack.append(last[2] - last[1])
-    points = len(slack)
-    slack += ends
-
-    def cell(k: int) -> list[tuple[float, float, float]]:  # start, end's limit, stationary point
-        b, end, d = grid[k], grid[k + 1], inner.get(k)
-        (a0, a1, a2), (n0, n1, n2), (g0, g1, g2), h = apc[k], anc[k], gmc[k], end - b
-        out = [(b, n0, g0 * a0), (end, n0 + h * (n1 + h * n2),
-                                  (g0 + h * (g1 + h * g2)) * (a0 + h * (a1 + h * a2)))]
-        if d is not None:
-            out.append((b + d, n0 + d * (n1 + d * n2), (g0 + d * (g1 + d * g2)) * a0))
-        return out
+    flat += (grid[-1], anc[-1][0], gmc[-1][0] * apc[-1][0])
+    last = len(flat) // 3 - 1
+    flat += ends
 
     def row(i: int) -> tuple[float, float, float]:
-        if i >= points:
-            return cell(i - points)[1]
-        if 0 < i < points - 1:
-            k, slot = spots[i - 1]
-            return cell(k)[slot]
-        return first if i == 0 else last
+        return tuple(flat[3 * i:3 * i + 3])
 
-    return slack, row, lambda: (first, *chain.from_iterable(map(cell, range(len(ends)))), last)
+    def rows() -> tuple[tuple[float, float, float], ...]:
+        # each cell's start, the left limit at its end, then its stationary point, if any
+        ends = iter(range(last + 1, len(flat) // 3))
+        cells = ((i,) if i in inner else (i, next(ends)) for i in range(1, last))
+        order = chain((0,), chain.from_iterable(cells), (last,))
+        return tuple(map([*zip(flat[::3], flat[1::3], flat[2::3])].__getitem__, order))
+
+    return [*map(operator.sub, flat[2::3], flat[1::3])], row, rows
 
 
 def _cell_starts(geom: PairGeometry, gamma: PiecewiseFn):
@@ -226,9 +202,15 @@ def check_ffsd(F: Distribution, G: Distribution, g: GammaFn | PiecewiseFn,
     """
     w, geom = validate_gamma(g, tol).carrier, pair_geometry(F, G)
     grid, weighted = weighted_area_fn_values(geom.neg, w)
-    # Ap at every node from one walk (c0 there is value's number); past the last break
-    # both sides are frozen, so the final node carries the t -> infinity comparison
-    ap = [c[0] for c in geom.Ap._coeffs_on(grid)]
+    # Ap at every node: c0 at its own breaks, which are neg's, and its value at each
+    # break of w between them, inserted right to left; past the last break both sides
+    # are frozen, so the final node carries the t -> infinity comparison
+    Ap = geom.Ap
+    ap = [c[0] for c in Ap.coeffs]
+    for t in reversed(w.breaks):
+        i = bisect_left(Ap.breaks, t)
+        if Ap.breaks[i:i + 1] != (t,):
+            ap.insert(i, Ap.value(t))
     return _settle(OrderTag.FFSD, [*map(operator.sub, ap, weighted)],
                    lambda i: (grid[i], weighted[i], ap[i]),
                    lambda: tuple(zip(grid, weighted, ap)), tol)

@@ -13,12 +13,12 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import partial
 
 from .piecewise import (
     _ZERO,
     DivisionByZeroGamma,
+    Frozen,
     PiecewiseFn,
     _fold_in,
     _not_finite,
@@ -66,15 +66,13 @@ class NotSSDOrdered(ValueError):
         super().__init__(f"pair is not second-order comparable (ratio {ratio!r})")
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Frozen):
     """Marker result: no admissible constant exists; value is the offending level."""
 
     value: float
 
 
-@dataclass(frozen=True)
-class GammaFn:
+class GammaFn(Frozen):
     """Non-decreasing weight into [0, 1] with cached limits at both
     infinities, checked when built: GammaFn(carrier) or
     GammaFn(carrier, tol=...).
@@ -85,17 +83,14 @@ class GammaFn:
     """
 
     carrier: PiecewiseFn
-    lower: float = field(init=False)
-    upper: float = field(init=False)
-    _: KW_ONLY
-    tol: InitVar[float] = 1e-9
+    lower: float
+    upper: float
 
-    def __post_init__(self, tol: float) -> None:
-        g = self.carrier
-        if g.left < -tol:
+    def __init__(self, carrier, *, tol: float = 1e-9) -> None:
+        if carrier.left < -tol:
             raise RangeViolation("gamma must be >= 0")
-        prev = g.left
-        for _, h, (c0, c1, c2) in g.cells():
+        prev = carrier.left
+        for _, h, (c0, c1, c2) in carrier.cells():
             if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
                 raise _not_finite("gamma", value=c0, slope=c1, quad=c2)
             if c0 - prev < -tol:
@@ -111,11 +106,10 @@ class GammaFn:
                     raise NotMonotone("gamma decreases on its last segment")
                 if c2 > 0.0 or c1 > 0.0:
                     raise RangeViolation("gamma must level off at its upper limit")
-        upper = g.coeffs[-1][0] if g.breaks else g.left
+        upper = carrier.coeffs[-1][0] if carrier.breaks else carrier.left
         if upper > 1.0 + tol:
             raise RangeViolation("gamma must be <= 1")
-        object.__setattr__(self, "lower", g.left)
-        object.__setattr__(self, "upper", upper)
+        self.__dict__.update(carrier=carrier, lower=carrier.left, upper=upper)
 
     def value(self, x: float) -> float:
         return self.carrier.value(x)
@@ -130,8 +124,7 @@ def _eps_attained(v: float) -> None:
         raise EpsilonOutOfRange("epsilon values must lie strictly inside (0, 1/2)")
 
 
-@dataclass(frozen=True)
-class EpsilonFn:
+class EpsilonFn(Frozen):
     """Weight into the open band (0, 1/2), checked when built; no
     monotonicity requirement.
 
@@ -143,10 +136,9 @@ class EpsilonFn:
 
     carrier: PiecewiseFn
 
-    def __post_init__(self) -> None:
-        e = self.carrier
-        _eps_attained(e.left)
-        for _, h, (c0, c1, c2) in e.cells():
+    def __init__(self, carrier) -> None:
+        _eps_attained(carrier.left)
+        for _, h, (c0, c1, c2) in carrier.cells():
             if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
                 raise _not_finite("epsilon", value=c0, slope=c1, quad=c2)
             _eps_attained(c0)
@@ -160,6 +152,7 @@ class EpsilonFn:
                         _eps_attained(_poly_value((c0, c1, c2), vertex))
             elif c1 != 0.0 or c2 != 0.0:
                 raise EpsilonOutOfRange("epsilon must level off on its last segment")
+        self.__dict__["carrier"] = carrier
 
     def value(self, x: float) -> float:
         return self.carrier.value(x)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
 from .distributions import Distribution
-from .piecewise import _ZERO, PiecewiseFn, _widths, cum_area_fn, merge_grids, signed_parts
+from .piecewise import _ZERO, Frozen, PiecewiseFn, _widths, cum_area_fn, merge_grids, signed_parts
 
 
 def total_area_from_cum(cum: PiecewiseFn) -> float:
@@ -24,8 +23,7 @@ def total_area_from_cum(cum: PiecewiseFn) -> float:
     return cum.value(cum.breaks[-1]) if cum.breaks else cum.left
 
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(Frozen):
     """F - G, its sign-pure parts, its sign runs and the cumulative areas
     of the parts. diff, pos and neg are built with the object; every other
     view on first use, once for as long as the geometry is shared. A base

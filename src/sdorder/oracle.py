@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .distributions import Distribution
 from .dominance import Verdict, check_easd, check_ffsd, check_mfsd
 from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
-from .piecewise import _poly_max
+from .piecewise import Frozen, _poly_max
 from .utility import (
     UtilityPWL,
     combine,
@@ -45,29 +44,28 @@ _MAX_TERMS = 3
 _SLOPE_RANGE = (0.1, 2.0)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Frozen):
     """Knobs for the utility samplers.
 
     t_grid: threshold parameters the base-type utilities are drawn from.
     """
 
     t_grid: tuple[float, ...]
-    seed: int = 0
-    count: int = 100
+    seed: int
+    count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+    def __init__(self, t_grid, seed=0, count=100) -> None:
+        if count < 1:
             raise ValueError("sample count must be at least 1")
-        if not self.t_grid:
+        if not t_grid:
             raise ValueError("threshold grid must be non-empty")
-        for t in self.t_grid:
+        for t in t_grid:
             if not math.isfinite(t):
                 raise ValueError(f"t_grid threshold must be finite, got {t!r}")
+        self.__dict__.update(t_grid=t_grid, seed=seed, count=count)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Frozen):
     """Outcome of replaying a decider verdict against sampled utilities.
 
     agree means: verdict-holds and no sampled gap fell below -tol, or

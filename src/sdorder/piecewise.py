@@ -9,7 +9,8 @@ coefficients well scaled no matter where the segments sit.
 
 All operations here are closed form. There is no sampling and no
 quadrature; integrals of degree <= 1 pieces are written down exactly, so
-equality-sensitive checks elsewhere can use tight tolerances.
+equality-sensitive checks elsewhere can use tight tolerances. `Frozen`,
+the immutable base of the carrier, is the base of every value type above.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import bisect
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 __all__ = [
@@ -126,8 +126,51 @@ def _widths(breaks: tuple[float, ...]) -> list[float]:
     return [*map(operator.sub, breaks[1:], breaks), math.inf]
 
 
-@dataclass(frozen=True)
-class PiecewiseFn:
+class Frozen:
+    """A value whose fields, its class annotations in order, cannot be set
+    or deleted. The inherited __init__ takes each field by position or by
+    name; a class that writes its own stores them through __dict__. Repr, ==
+    and hash are those of dataclass(frozen=True); a field named in the class
+    keyword `uncompared` is shown but neither compared nor hashed."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in uncompared)
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self._fields, self._values(self._fields))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self._compared) == other._values(self._compared)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compared))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PiecewiseFn(Frozen):
     """Right-continuous piecewise polynomial, degree <= 2 per segment.
 
     ``breaks`` is strictly increasing and finite; a zero is stored as
@@ -142,10 +185,10 @@ class PiecewiseFn:
     left: float
     coeffs: tuple[tuple[float, float, float], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.breaks):
+    def __init__(self, breaks, left, coeffs) -> None:
+        if len(coeffs) != len(breaks):
             raise ValueError("one coefficient triple per breakpoint required")
-        self._seal(_checked_breaks(self.breaks, "carrier"), self.left, _finite_coeffs(self.coeffs))
+        self._seal(_checked_breaks(breaks, "carrier"), left, _finite_coeffs(coeffs))
 
     @classmethod
     def _trusted(cls, breaks: tuple[float, ...], left: float,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .distributions import Distribution
@@ -23,6 +22,7 @@ from .gamma import EpsilonFn, GammaFn, validate_epsilon, validate_gamma
 from .geometry import pair_geometry, total_area_from_cum
 from .piecewise import (
     DivisionByZeroGamma,
+    Frozen,
     PiecewiseFn,
     _checked_breaks,
     _not_finite,
@@ -67,8 +67,7 @@ class NonStepGammaOnNegativeRegion(ValueError):
     CDF difference is negative; approximating would change the witness."""
 
 
-@dataclass(frozen=True)
-class UtilityPWL:
+class UtilityPWL(Frozen, uncompared=("provenance",)):
     """Continuous non-decreasing function with piecewise-constant slope.
 
     slopes[0] applies on (-inf, breaks[0]), slopes[i] on
@@ -81,20 +80,21 @@ class UtilityPWL:
 
     breaks: tuple[float, ...]
     slopes: tuple[float, ...]
-    anchor: tuple[float, float] = (0.0, 0.0)
-    provenance: str | None = field(default=None, compare=False)
+    anchor: tuple[float, float]
+    provenance: str | None
 
-    def __post_init__(self) -> None:
-        if len(self.slopes) != len(self.breaks) + 1:
+    def __init__(self, breaks, slopes, anchor=(0.0, 0.0), provenance=None) -> None:
+        if len(slopes) != len(breaks) + 1:
             raise ValueError("need exactly one more slope than breakpoints")
-        object.__setattr__(self, "breaks", _checked_breaks(self.breaks, "utility"))
-        for s in self.slopes:
+        breaks = _checked_breaks(breaks, "utility")
+        for s in slopes:
             if not 0.0 <= s < math.inf:
                 raise (ValueError("slopes must be non-negative") if -math.inf < s < 0.0
                        else _not_finite("utility", slope=s))
-        x0, v0 = self.anchor
+        x0, v0 = anchor
         if not (math.isfinite(x0) and math.isfinite(v0)):
             raise _not_finite("utility", anchor_x=x0, anchor_value=v0)
+        self.__dict__.update(breaks=breaks, slopes=slopes, anchor=anchor, provenance=provenance)
 
     def slope_at(self, x: float) -> float:
         """Right derivative at x."""
@@ -122,8 +122,7 @@ class UtilityPWL:
         return v0 - self.increment(x, x0)
 
 
-@dataclass(frozen=True)
-class GreedinessProfile:
+class GreedinessProfile(Frozen):
     """Right-continuous non-increasing step map x -> worst forward slope
     ratio strictly right of x; values in [1, infinity]."""
 
@@ -134,8 +133,9 @@ class GreedinessProfile:
         return self.values[bisect.bisect_right(self.breaks, x)]
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(Frozen):
+    """Whether a utility is in a slope class; pair is the offending pair of points."""
+
     member: bool
     pair: tuple[float, float] | None
     note: str
@@ -148,8 +148,9 @@ class ExclusionKind(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
+class ExclusionVerdict(Frozen):
+    """Why a utility is or is not in the graded class, at which points."""
+
     kind: ExclusionKind
     points: tuple[float, ...]
     reason: str
@@ -399,9 +400,8 @@ def translate(u: UtilityPWL, c: float) -> UtilityPWL:
         raise ValueError("translation amount must be non-negative")
     if c == 0.0:
         return u
-    return replace(u,
-                   breaks=tuple(b - c for b in u.breaks),
-                   anchor=(u.anchor[0] - c, u.anchor[1]))
+    return UtilityPWL(tuple(b - c for b in u.breaks), u.slopes,
+                      anchor=(u.anchor[0] - c, u.anchor[1]), provenance=u.provenance)
 
 
 # -- exclusion criteria ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front-end: wire formats, exit codes, output shapes."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -19,16 +20,14 @@ from sdorder.cli import (
     _carrier_to_pieces,
     _gamma_series,
     _pieces_to_carrier,
-    _utility_obj,
     load_distribution,
     load_gamma,
-    load_utility,
     main,
     serialize_distribution,
     serialize_epsilon,
     serialize_gamma,
-    serialize_utility,
 )
+from sdorder.cli_extra import _utility_obj, load_utility, serialize_utility
 
 
 def run(capsys, *argv):
@@ -393,6 +392,38 @@ class TestOptionSets:
                              "--g", spread_files["g"], "--gamma-const", "0.5",
                              "--samples", "0")
         assert code == 2 and out == "" and "--samples must be at least 1" in err
+
+
+# (argv before --help, length, SHA-256) of each help text at 80 columns: the
+# parser lists every command, wherever the code that runs it lives
+HELP_BYTES = [
+    ((), 639, "806ae3162391130313314ff3758b3fecfa04191f5882023ae439a0e06517c806"),
+    (("check",), 708, "ab746a35e2bf9f3953898e53386a42baf6b000694d2f80f7c0075f82899e455f"),
+    (("min-gamma",), 357, "068fc43477b5fa88af4d943037b9e227a57c80d92628a237695f5aa060ce1071"),
+    (("min-epsilon",), 359, "59a15f1b4578f3ad569e2bc68d69894c7375cb1b4d8978c906d856453110f4d7"),
+    (("greediness",), 186, "1817a6e5cc67f213cd62d17dba650833b1fb2c2b6409944ab1afde90d5db6bf0"),
+    (("oracle",), 775, "2e64648794edb76eb523e159945399a343e2fba3a3f4cd61990a572b05e8fc18"),
+    (("generate",), 324, "7e4f840aca6573d66a40d0cf651073bcbadb5d516454c417d0641ac25544c37f"),
+    (("generate", "identical-means"), 184,
+     "a4e42c972a4a282438846a634d870fa7d9fca8ac0b9cada2aef00da3f34bdd66"),
+    (("generate", "local-interpolation"), 294,
+     "d32b9715eab1e40ea094d931d3aa397ab943335c08c0367d097d008f1466fc6c"),
+    (("generate", "squares"), 551,
+     "5f88e8810490b5d2c04163c9ffbbf7aa1f145d59a5d8b0df6c0b8d86779a682a"),
+    (("generate", "strict-inclusion"), 530,
+     "3166ee68b975c7142785a53757bea215fdc06be6cc4a7c52bb9faa47788060fd"),
+    (("generate", "theta-family"), 288,
+     "dd03acc403df25969eb7d847decfc3a00ffd18d1729fac2ea131bc9716a648bf"),
+]
+
+
+@pytest.mark.parametrize("argv, size, digest", HELP_BYTES,
+                         ids=[" ".join(h[0]) or "top" for h in HELP_BYTES])
+def test_help_keeps_its_bytes(capsys, monkeypatch, argv, size, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err, len(out)) == (0, "", size)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInputErrors:

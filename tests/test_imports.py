@@ -26,6 +26,52 @@ def test_cli_import_loads_no_lazy_layer():
     assert r.stdout.split() == []
 
 
+# dataclasses and the modules it pulls in, which cost a CLI process time to load
+DATACLASS_LAYER = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def _child(code: str) -> str:
+    """Standard output of a fresh interpreter that runs code on this sdorder."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sdorder.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_cli_import_loads_no_dataclass_layer():
+    # measured against what the bare interpreter has loaded already
+    out = _child("import sys; bare = set(sys.modules); import sdorder.cli; "
+                 f"print(' '.join(m for m in {DATACLASS_LAYER!r} "
+                 "if m in sys.modules and m not in bare))")
+    assert out.split() == []
+
+
+@pytest.mark.parametrize("argv", [("check", "--order", "ssd"), ("min-gamma",),
+                                  ("min-epsilon",)], ids=lambda a: a[0])
+def test_deciding_commands_never_load_the_other_commands(tmp_path, argv):
+    f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+    f.write_text("0\n2\n")
+    g.write_text("1\n1\n")
+    argv = [*argv, "--f", str(f), "--g", str(g)]
+    out = _child("import io, sys, contextlib; from sdorder.cli import main\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+                 f"print(code, *(m for m in {('sdorder.cli_extra', *LAZY_MODULES)!r} "
+                 "if m in sys.modules))")
+    assert out.split()[1:] == []
+
+
+def test_no_module_imports_dataclasses():
+    users = []
+    for path in sorted(Path(sdorder.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            users += [path.name for n in names if n == "dataclasses"]
+    assert users == []
+
+
 def test_lazy_table_lists_each_lazy_layer_all():
     by_module: dict = {}
     for name, module in sdorder._LAZY.items():
