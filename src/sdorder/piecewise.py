@@ -10,7 +10,7 @@ coefficients well scaled no matter where the segments sit.
 All operations here are closed form. There is no sampling and no
 quadrature; integrals of degree <= 1 pieces are written down exactly, so
 equality-sensitive checks elsewhere can use tight tolerances. `Frozen`,
-the immutable base of the carrier, is the base of every value type above.
+the carrier's immutable base, is the base of every value type of the package.
 """
 
 from __future__ import annotations
